@@ -4,11 +4,11 @@ from .linalg import (least_squares_on_support, mat_vec, objective,
                      residual_norm, transpose_mat_vec)
 from .model import (ProblemInstance, SolverConfig, SolverReport, TraceEntry,
                     MAX_ITERATIONS, RECOVERY, RESIDUAL, STALLED)
-from .operators import (ExhaustiveLimitError, RotSolution,
-                        exact_optimal_threshold, hard_threshold,
+from .operators import (ExhaustiveLimitError, RotSolution, hard_threshold,
                         project_capped_simplex, solve_rot, top_k_support)
 from .solvers import (ALGORITHM_IDS, check_recovery, iht, omp, pgot,
                       pgot_step, pgrot, pgrotp, solve, sp)
+from .solvers import optimal_threshold_on_support as exact_optimal_threshold
 from .theory import (BoundTable, ContractionConstants, RicTriple,
                      brute_force_ric, ceil_ratio, contraction_constants,
                      pgot_explicit_bound, pgot_root_bound,

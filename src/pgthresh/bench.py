@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,14 +151,7 @@ def objective_trace_experiment(cfg: ExperimentConfig) -> list[tuple]:
     are (iteration, algo, q, ||y - A x^p||_2).
     """
     k = cfg.k_grid[0]
-    solver_cfg = SolverConfig(
-        max_iterations=cfg.trace_iterations,
-        recovery_tolerance=cfg.solver.recovery_tolerance,
-        residual_tolerance=cfg.solver.residual_tolerance,
-        rot_tolerance=cfg.solver.rot_tolerance,
-        rot_max_iterations=cfg.solver.rot_max_iterations,
-        exhaustive_limit=cfg.solver.exhaustive_limit,
-    )
+    solver_cfg = replace(cfg.solver, max_iterations=cfg.trace_iterations)
 
     def run(q_token):
         q = resolve_q(q_token, k, cfg.n)
@@ -238,10 +231,6 @@ def write_csv(rows, path, header: str) -> None:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
-
-
-def trace_rows(rows) -> list[tuple]:
-    return list(rows)
 
 
 def iteration_rows(results) -> list[tuple]:

@@ -1,19 +1,18 @@
 """Thresholding operators and the capped-simplex quadratic program.
 
-Contains the hard-thresholding operator, exhaustive binary optimal
-k-thresholding, Euclidean projection onto the capped simplex
-{w : sum w = k, 0 <= w <= 1}, and the projected-gradient solver for the
-convex relaxation of optimal thresholding.
+Contains the hard-thresholding operator, Euclidean projection onto the
+capped simplex {w : sum w = k, 0 <= w <= 1}, and the projected-gradient
+solver for the convex relaxation of optimal thresholding.  The exhaustive
+binary subproblem lives in ``solvers.optimal_threshold_on_support``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
+from .linalg import gram_lambda_max
 from .model import SolverConfig
 
 
@@ -48,36 +47,6 @@ def top_k_support(v, k: int) -> np.ndarray:
     """Support of hard_threshold(v, k): sorted indices, zeros never included."""
     kept = hard_threshold(v, k)
     return np.flatnonzero(kept)
-
-
-def exact_optimal_threshold(a, y, u, k: int,
-                            exhaustive_limit: int = 200_000):
-    """Binary optimal k-thresholding by exhaustive enumeration.
-
-    Minimizes ||y - A (u * w)||_2^2 over all w in {0,1}^n with exactly k
-    ones.  Supports are visited in lexicographic order and the first
-    minimizer is kept.  Returns (w, x) with x = u * w.
-    """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    _check_k(k, n)
-    if comb(n, k) > exhaustive_limit:
-        raise ExhaustiveLimitError(
-            f"instance too large for exact OP: C({n},{k}) > {exhaustive_limit}")
-    b = a * u  # column i is u_i * A_i
-    best_obj = np.inf
-    best = None
-    for supp in itertools.combinations(range(n), k):
-        r = y - b[:, supp].sum(axis=1) if k else y
-        obj = float(r @ r)
-        if obj < best_obj:
-            best_obj = obj
-            best = supp
-    w = np.zeros(n)
-    w[list(best)] = 1.0
-    return w, u * w
 
 
 def project_capped_simplex(v, k: int) -> np.ndarray:
@@ -145,33 +114,15 @@ class RotSolution:
     converged: bool
 
 
-def _spectral_upper_bound(b: np.ndarray) -> float:
-    """Upper bound on lambda_max(B^T B) by power iteration with a 1.01 margin."""
-    n = b.shape[1]
-    if n == 0:
-        return 1.0
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(100):
-        w = b.T @ (b @ v)
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 1.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= 1e-6 * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    return 1.01 * lam
-
-
 def solve_rot(a, y, u, k: int, cfg: SolverConfig | None = None) -> RotSolution:
     """Solve min ||y - A (w * u)||^2 s.t. sum(w) = k, 0 <= w <= 1.
 
     Accelerated projected gradient with constant step 1/L and function-value
-    restarts.  Termination is certified by the projected-gradient fixed-point
-    residual ||w - P(w - s grad(w))||_2 <= cfg.rot_tolerance; on iteration
-    exhaustion the best feasible iterate is returned flagged not-converged.
+    restarts, where L = 2 lambda_max(B^T B) is the exact Lipschitz constant of
+    the gradient and B = A[:, supp u] diag(u[supp u]).  Termination is
+    certified by the projected-gradient fixed-point residual
+    ||w - P(w - s grad(w))||_2 <= cfg.rot_tolerance; on iteration exhaustion
+    the best feasible iterate is returned flagged not-converged.
     """
     cfg = cfg or SolverConfig()
     a = np.asarray(a, dtype=float)
@@ -196,10 +147,11 @@ def solve_rot(a, y, u, k: int, cfg: SolverConfig | None = None) -> RotSolution:
         w = np.ones(n)
         return RotSolution(w, rot_objective(w), 0, 0.0, True)
 
-    step = 1.0 / _spectral_upper_bound(b_sub)
     w = project_capped_simplex(np.full(n, k / n), k)
-    if supp.size == 0:
+    lipschitz = 2.0 * gram_lambda_max(b_sub)
+    if lipschitz <= 0.0:  # B = 0 (or empty): every feasible w is optimal
         return RotSolution(w, rot_objective(w), 0, 0.0, True)
+    step = 1.0 / lipschitz
 
     best_w, best_obj = w, rot_objective(w)
     prev_obj = best_obj

@@ -17,8 +17,8 @@ import numpy as np
 from . import linalg
 from .model import (MAX_ITERATIONS, RECOVERY, RESIDUAL, STALLED,
                     ProblemInstance, SolverConfig, SolverReport, TraceEntry)
-from .operators import (ExhaustiveLimitError, hard_threshold, solve_rot,
-                        top_k_support, _spectral_upper_bound)
+from .operators import (ExhaustiveLimitError, _check_k, hard_threshold,
+                        solve_rot, top_k_support)
 
 ALGORITHM_IDS = ("pgot", "pgrot", "pgrotp", "ot", "rot", "rotp",
                  "iht", "omp", "sp")
@@ -42,24 +42,27 @@ def check_recovery(x, x_star, tol: float = 1e-3) -> bool:
 
 def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """u = x + lam * H_q(A^T (y - A x))."""
-    g = linalg.transpose_mat_vec(problem.a, problem.y - linalg.mat_vec(problem.a, x))
+    g = problem.a.T @ (problem.y - problem.a @ x)
     return x + problem.lam * hard_threshold(g, problem.q)
 
 
 def optimal_threshold_on_support(a, y, u, k: int,
                                  exhaustive_limit: int = 200_000):
-    """Solve the binary optimal-thresholding subproblem for a sparse u.
+    """Binary optimal k-thresholding: min ||y - A (u * w)||_2^2 over w in
+    {0,1}^n with exactly k ones.
 
     Since the objective depends on w only where u is nonzero, enumeration is
     restricted to supports inside supp(u); the exactly-k-ones pattern is
     recovered by padding with lowest-index zero positions of u.  All support
-    sizes compatible with a k-ones pattern are enumerated, so the result is a
-    global minimizer of the full binary problem.  Returns (w, x).
+    sizes compatible with a k-ones pattern are enumerated, in lexicographic
+    order keeping the first minimizer, so the result is a global minimizer
+    of the full binary problem.  Returns (w, x) with x = u * w.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     n = u.size
+    _check_k(k, n)
     supp = np.flatnonzero(u)
     t = supp.size
     j_max = min(k, t)
@@ -100,32 +103,30 @@ def _run(problem: ProblemInstance, cfg: SolverConfig, step):
     """Shared iteration loop: x0 = 0, stopping by recovery / residual / stall."""
     x = np.zeros(problem.n)
     events: list[str] = []
+    trace: list[TraceEntry] = []
 
-    def entry(p, xp):
+    def record(p, xp):
+        """Append the trace entry of iterate p; return its termination, if any."""
+        residual = linalg.residual_norm(problem.a, problem.y, xp)
         rel = None
         if problem.truth is not None:
             denom = np.linalg.norm(problem.truth)
             rel = (float(np.linalg.norm(xp - problem.truth)) / denom
                    if denom > 0 else float(np.linalg.norm(xp)))
-        return TraceEntry(p, linalg.residual_norm(problem.a, problem.y, xp), rel)
-
-    trace = [entry(0, x)]
-
-    def finished(xp):
+        trace.append(TraceEntry(p, residual, rel))
         if problem.truth is not None and check_recovery(
                 xp, problem.truth, cfg.recovery_tolerance):
             return RECOVERY
-        if linalg.residual_norm(problem.a, problem.y, xp) <= cfg.residual_tolerance:
+        if residual <= cfg.residual_tolerance:
             return RESIDUAL
         return None
 
-    termination = finished(x)
+    termination = record(0, x)
     p = 0
     while termination is None and p < cfg.max_iterations:
         x_new = step(x, p, events)
         p += 1
-        trace.append(entry(p, x_new))
-        termination = finished(x_new)
+        termination = record(p, x_new)
         if termination is None and np.array_equal(x_new, x):
             termination = STALLED
         x = x_new
@@ -187,11 +188,11 @@ def iht(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepo
     cfg = cfg or SolverConfig()
     lam = problem.lam
     if cfg.normalize_stepsize:
-        lam = 1.0 / _spectral_upper_bound(problem.a)
+        lmax = linalg.gram_lambda_max(problem.a)
+        lam = 1.0 / lmax if lmax > 0 else lam  # A = 0: the step is moot
 
     def step(x, p, events):
-        g = linalg.transpose_mat_vec(
-            problem.a, problem.y - linalg.mat_vec(problem.a, x))
+        g = problem.a.T @ (problem.y - problem.a @ x)
         return hard_threshold(x + lam * g, problem.k)
 
     return _run(problem, cfg, step)
@@ -203,8 +204,7 @@ def omp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepo
     support: list[int] = []
 
     def step(x, p, events):
-        r = problem.y - linalg.mat_vec(problem.a, x)
-        corr = np.abs(linalg.transpose_mat_vec(problem.a, r))
+        corr = np.abs(problem.a.T @ (problem.y - problem.a @ x))
         corr[support] = -np.inf
         support.append(int(np.argmax(corr)))  # argmax breaks ties at lowest index
         return linalg.least_squares_on_support(problem.a, problem.y, support)
@@ -218,8 +218,7 @@ def sp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepor
     cfg = cfg or SolverConfig()
 
     def step(x, p, events):
-        r = problem.y - linalg.mat_vec(problem.a, x)
-        corr = linalg.transpose_mat_vec(problem.a, r)
+        corr = problem.a.T @ (problem.y - problem.a @ x)
         merged = np.union1d(np.flatnonzero(x), top_k_support(corr, problem.k))
         z = linalg.least_squares_on_support(problem.a, problem.y, merged)
         pruned = top_k_support(z, problem.k)
@@ -240,7 +239,6 @@ def solve(problem: ProblemInstance, algorithm: str,
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHM_IDS}")
     if algorithm in _FULL_GRADIENT_ALIASES:
-        problem = ProblemInstance(problem.a, problem.y, problem.k, problem.n,
-                                  problem.lam, problem.truth, problem.noise_norm)
+        problem = dataclasses.replace(problem, q=problem.n)
         algorithm = _FULL_GRADIENT_ALIASES[algorithm]
     return _SOLVERS[algorithm](problem, cfg)

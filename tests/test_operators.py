@@ -6,6 +6,7 @@ import pytest
 from pgthresh import (ExhaustiveLimitError, SolverConfig,
                       exact_optimal_threshold, hard_threshold,
                       project_capped_simplex, solve_rot, top_k_support)
+from pgthresh.bench import ExperimentConfig, make_trial_problem
 
 
 def test_hard_threshold_examples():
@@ -69,6 +70,44 @@ def test_exact_optimal_threshold_limit_guard():
     a = np.ones((2, 30))
     with pytest.raises(ExhaustiveLimitError):
         exact_optimal_threshold(a, [1, 1], np.ones(30), 15, exhaustive_limit=100)
+
+
+def _binary_optimum(a, y, u, k):
+    # min ||y - A (u * w)||^2 over every w in {0,1}^n with exactly k ones
+    best = np.inf
+    for supp in itertools.combinations(range(u.size), k):
+        r = y - a[:, list(supp)] @ u[list(supp)]
+        best = min(best, float(r @ r))
+    return best
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_exact_optimal_threshold_matches_brute_force(padded):
+    # padded: |supp u| < k, so the k ones are completed outside supp(u)
+    rng = np.random.default_rng(41 + padded)
+    for _ in range(25):
+        n = int(rng.integers(4, 11))
+        m = int(rng.integers(3, 9))
+        k = int(rng.integers(1, n + 1)) if padded else int(rng.integers(0, n + 1))
+        t = int(rng.integers(0, k)) if padded else int(rng.integers(k, n + 1))
+        u = np.zeros(n)
+        u[rng.choice(n, size=t, replace=False)] = rng.standard_normal(t)
+        a = rng.standard_normal((m, n))
+        y = rng.standard_normal(m)
+        w, x = exact_optimal_threshold(a, y, u, k)
+        assert np.count_nonzero(w) == k and set(np.unique(w)) <= {0.0, 1.0}
+        assert np.array_equal(x, u * w)
+        r = y - a @ x
+        best = _binary_optimum(a, y, u, k)
+        assert float(r @ r) <= best + 1e-10 * max(1.0, best)
+
+
+def test_exact_optimal_threshold_rejects_bad_k():
+    a = np.ones((2, 4))
+    with pytest.raises(ValueError):
+        exact_optimal_threshold(a, [1, 1], np.ones(4), 5)
+    with pytest.raises(ValueError):
+        exact_optimal_threshold(a, [1, 1], np.ones(4), -1)
 
 
 def _projection_kkt_oracle(v, k):
@@ -178,3 +217,28 @@ def test_solve_rot_iteration_exhaustion_flagged():
     sol = solve_rot(a, y, u, 5, cfg)
     assert not sol.converged
     assert abs(sol.w.sum() - 5) <= 1e-9 * 5
+
+
+@pytest.mark.parametrize("k", [10, 20, 30])
+def test_solve_rot_converges_at_bench_scale(k):
+    # first outer PGROTP iteration (x0 = 0, q = 2k) on bench instances; the
+    # step must respect the 2 lambda_max(B^T B) Lipschitz constant of the
+    # gradient for these to converge within the iteration cap
+    cfg = SolverConfig()
+    exp = ExperimentConfig(m=100, n=200, k_grid=(k,), seed=1)
+    for trial in range(4):
+        problem = make_trial_problem(exp, k, 2 * k, "pgrotp", trial)
+        u = hard_threshold(problem.a.T @ problem.y, problem.q)
+        sol = solve_rot(problem.a, problem.y, u, k, cfg)
+        assert sol.converged, (k, trial, sol.kkt_residual)
+        assert sol.kkt_residual <= cfg.rot_tolerance
+
+
+@pytest.mark.parametrize("u", [np.zeros(6), np.arange(1.0, 7.0)])
+def test_solve_rot_constant_objective_converges(u):
+    # empty supp(u), or B = A diag(u) = 0: any feasible w is a minimizer
+    a = np.zeros((4, 6))
+    sol = solve_rot(a, np.ones(4), u, 2)
+    assert sol.converged and sol.kkt_residual <= 1e-12
+    assert abs(sol.w.sum() - 2) <= 1e-12
+    assert np.all(sol.w >= 0) and np.all(sol.w <= 1)

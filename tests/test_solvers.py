@@ -101,6 +101,18 @@ def test_iht_desk_recovery():
     assert hits >= 6
 
 
+def test_iht_normalized_step_is_exact_inverse_lipschitz():
+    # A = 3 I: lam = 1 / ||A||_2^2 = 1/9 maps y = 3 x* to x* in one step,
+    # which an estimated or padded ||A||_2^2 misses by more than the tolerance
+    x_star = np.array([0.0, 2.0, 0.0, -1.0, 0.0, 0.0])
+    problem = ProblemInstance(3 * np.eye(6), 3 * x_star, k=2, q=2, truth=x_star)
+    cfg = SolverConfig(normalize_stepsize=True, recovery_tolerance=1e-12)
+    report = solve(problem, "iht", cfg)
+    assert report.termination == RECOVERY and report.iterations == 1
+    zero = ProblemInstance(np.zeros((3, 5)), np.ones(3), k=2, q=2)
+    assert np.all(solve(zero, "iht", cfg).final_x == 0)
+
+
 def test_omp_desk_recovery():
     report = solve(_planted(100, 200, 5, 10, seed=3), "omp")
     assert report.termination == RECOVERY
