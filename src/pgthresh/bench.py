@@ -125,7 +125,6 @@ def make_trial_problem(cfg: ExperimentConfig, k: int, q: int, algo: str,
     a = gen_gaussian_matrix(cfg.m, cfg.n, rng, cfg.scaling)
     x_star = gen_sparse_vector(cfg.n, k, rng)
     y = a @ x_star
-    noise_norm = None
     if cfg.sigma > 0:
         # noise enters the raw measurement model; matrix scaling rescales the
         # whole equation, so the noise picks up the same 1/sqrt(m) factor
@@ -133,8 +132,7 @@ def make_trial_problem(cfg: ExperimentConfig, k: int, q: int, algo: str,
         if cfg.scaling == "inv_sqrt_m":
             eta /= np.sqrt(cfg.m)
         y = y + eta
-        noise_norm = float(np.linalg.norm(eta))
-    return ProblemInstance(a, y, k=k, q=q, truth=x_star, noise_norm=noise_norm)
+    return ProblemInstance(a, y, k=k, q=q, truth=x_star)
 
 
 def _map(fn, items, threads: int):

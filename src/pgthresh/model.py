@@ -48,7 +48,6 @@ class ProblemInstance:
     q: int
     lam: float = 1.0
     truth: np.ndarray | None = None
-    noise_norm: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_matrix(self.a))
@@ -62,8 +61,6 @@ class ProblemInstance:
             raise ValueError("stepsize lam must be positive")
         if self.truth is not None:
             object.__setattr__(self, "truth", as_vector(self.truth, n, "truth"))
-        if self.noise_norm is not None and self.noise_norm < 0:
-            raise ValueError("noise_norm must be nonnegative")
 
     @property
     def m(self) -> int:

@@ -1,9 +1,10 @@
-"""Thresholding operators and the capped-simplex quadratic program.
+"""Thresholding operators and the relaxed optimal-thresholding QP.
 
 Contains the hard-thresholding operator, Euclidean projection onto the
-capped simplex {w : sum w = k, 0 <= w <= 1}, and the projected-gradient
-solver for the convex relaxation of optimal thresholding.  The exhaustive
-binary subproblem lives in ``solvers.optimal_threshold_on_support``.
+capped simplex {w : sum w = k, 0 <= w <= 1}, and the accelerated
+projected-gradient solver for the convex relaxation of optimal thresholding,
+run on the |supp u| weights the objective depends on and lifted back to n.
+The exhaustive binary subproblem is ``solvers.optimal_threshold_on_support``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
     """Euclidean projection onto {w : sum(w) = k, 0 <= w <= 1}.
 
     The projection is clamp(v - theta, 0, 1) for the scalar theta solving
-    sum(clamp(v - theta, 0, 1)) = k; theta is located by bisection over the
-    sorted breakpoints of this piecewise-linear equation and then solved
-    exactly on the bracketing segment.
+    sum(clamp(v - theta, 0, 1)) = k (Wang & Lu, arXiv:1503.01002).  The sum
+    is piecewise linear and nonincreasing in theta, with breakpoints v - 1
+    and v; it is evaluated at all 2n sorted breakpoints in one vectorised
+    pass, and theta is interpolated on the segment that brackets k.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
@@ -65,42 +67,23 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
     if k == n:
         return np.ones(n)
 
-    vs = np.sort(v)  # ascending
-    prefix = np.concatenate(([0.0], np.cumsum(vs)))
-
-    def total(theta: float) -> float:
-        # entries with v <= theta clamp to 0, v >= theta + 1 clamp to 1
-        i0 = np.searchsorted(vs, theta, side="right")
-        i1 = np.searchsorted(vs, theta + 1.0, side="left")
-        ones = n - i1
-        mid_sum = prefix[i1] - prefix[i0]
-        return ones + mid_sum - (i1 - i0) * theta
-
-    bps = np.unique(np.concatenate([v - 1.0, v]))
-    # total() is nonincreasing; find the segment where it crosses k
-    lo, hi = 0, bps.size - 1
-    if total(bps[lo]) <= k:
-        hi = lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if total(bps[mid]) >= k:
-            lo = mid
-        else:
-            hi = mid
-    if lo == hi:
-        theta = bps[lo]
-    else:
-        t_mid = 0.5 * (bps[lo] + bps[hi])
-        i0 = np.searchsorted(vs, t_mid, side="right")
-        i1 = np.searchsorted(vs, t_mid + 1.0, side="left")
-        count = i1 - i0
-        if count == 0:
-            # flat segment: total is constant and equal to k here
-            theta = bps[lo]
-        else:
-            ones = n - i1
-            theta = (ones + (prefix[i1] - prefix[i0]) - k) / count
-    return np.clip(v - theta, 0.0, 1.0)
+    vs = np.sort(v)
+    tail = np.concatenate(([0.0], np.cumsum(vs[::-1])))[::-1]  # sum of vs[i:]
+    bps = np.sort(np.concatenate((vs - 1.0, vs)))
+    # clamp(v - theta, 0, 1) = max(v - theta, 0) - max(v - theta - 1, 0), and
+    # sum(max(v - theta, 0)) = tail[i] - (n - i) theta with i = #{v < theta}
+    thetas = np.concatenate((bps, bps + 1.0))
+    idx = np.searchsorted(vs, thetas)
+    positive = tail[idx] - (n - idx) * thetas
+    totals = positive[: 2 * n] - positive[2 * n:]
+    # totals falls from n to 0 and 0 < k < n, so the last j with
+    # totals[j] >= k has totals[j + 1] < k and bps[j + 1] > bps[j]
+    j = np.flatnonzero(totals >= k)[-1]
+    theta = bps[j]
+    if totals[j] > k:
+        theta += ((totals[j] - k) * (bps[j + 1] - bps[j])
+                  / (totals[j] - totals[j + 1]))
+    return (v - theta).clip(0.0, 1.0)
 
 
 @dataclass
@@ -117,12 +100,19 @@ class RotSolution:
 def solve_rot(a, y, u, k: int, cfg: SolverConfig | None = None) -> RotSolution:
     """Solve min ||y - A (w * u)||^2 s.t. sum(w) = k, 0 <= w <= 1.
 
+    The objective depends on w only through S = supp(u), t = |S|, so the QP
+    is solved over w_S in the box [0, 1]^t with lo <= sum(w_S) <= hi, where
+    lo = max(0, k - (n - t)) and hi = min(k, t); the returned w is lifted
+    back by giving each entry off S the value (k - sum(w_S)) / (n - t).
+
     Accelerated projected gradient with constant step 1/L and function-value
-    restarts, where L = 2 lambda_max(B^T B) is the exact Lipschitz constant of
-    the gradient and B = A[:, supp u] diag(u[supp u]).  Termination is
-    certified by the projected-gradient fixed-point residual
-    ||w - P(w - s grad(w))||_2 <= cfg.rot_tolerance; on iteration exhaustion
-    the best feasible iterate is returned flagged not-converged.
+    restarts, where L = 2 lambda_max(G) is the exact Lipschitz constant of
+    the gradient 2 (G w_S - B^T y), G = B^T B and B = A[:, S] diag(u[S]).
+    It stops once the gradient mapping ||w_new - z|| at the extrapolated
+    point z and then the fixed-point residual ||w - P(w - grad(w) / L)|| of
+    w_new are both <= cfg.rot_tolerance.  ``kkt_residual`` is always that
+    residual of the returned w_S; on iteration exhaustion the best iterate
+    is returned flagged not-converged.
     """
     cfg = cfg or SolverConfig()
     a = np.asarray(a, dtype=float)
@@ -132,50 +122,63 @@ def solve_rot(a, y, u, k: int, cfg: SolverConfig | None = None) -> RotSolution:
     _check_k(k, n)
 
     supp = np.flatnonzero(u)
-    b_sub = a[:, supp] * u[supp]  # objective depends on w only through supp(u)
+    t = supp.size
+    lo, hi = max(0, k - (n - t)), min(k, t)
+    b_sub = a[:, supp] * u[supp]
+    gram, corr = b_sub.T @ b_sub, b_sub.T @ y
 
-    def rot_objective(w: np.ndarray) -> float:
-        r = y - b_sub @ w[supp]
-        return float(r @ r)
+    def project(v: np.ndarray) -> np.ndarray:
+        w = v.clip(0.0, 1.0)
+        total = w.sum()
+        if total > hi:
+            return project_capped_simplex(v, hi)
+        if total < lo:
+            return project_capped_simplex(v, lo)
+        return w
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        g = np.zeros(n)
-        g[supp] = -2.0 * (b_sub.T @ (y - b_sub @ w[supp]))
-        return g
+    def solution(w_s: np.ndarray, iterations: int, kkt: float,
+                 converged: bool) -> RotSolution:
+        w = np.full(n, (k - w_s.sum()) / max(n - t, 1))
+        w[supp] = w_s
+        r = y - b_sub @ w_s
+        return RotSolution(w, float(r @ r), iterations, kkt, converged)
 
-    if k == n:
-        w = np.ones(n)
-        return RotSolution(w, rot_objective(w), 0, 0.0, True)
-
-    w = project_capped_simplex(np.full(n, k / n), k)
+    w = np.full(t, k / n)  # the restriction of the uniform feasible point
     lipschitz = 2.0 * gram_lambda_max(b_sub)
     if lipschitz <= 0.0:  # B = 0 (or empty): every feasible w is optimal
-        return RotSolution(w, rot_objective(w), 0, 0.0, True)
+        return solution(w, 0, 0.0, True)
     step = 1.0 / lipschitz
 
-    best_w, best_obj = w, rot_objective(w)
+    def gradient(w_s: np.ndarray) -> np.ndarray:
+        return 2.0 * (gram @ w_s - corr)
+
+    def residual(w_s: np.ndarray) -> float:
+        return float(np.linalg.norm(w_s - project(w_s - step * gradient(w_s))))
+
+    def quadratic(w_s: np.ndarray) -> float:  # ||y - B w_s||^2 - ||y||^2
+        return float(w_s @ (gram @ w_s - 2.0 * corr))
+
+    best_w, best_obj = w, quadratic(w)
     prev_obj = best_obj
     z = w
-    t = 1.0
-    kkt = np.inf
-    iterations = 0
+    momentum = 1.0
     for iterations in range(1, cfg.rot_max_iterations + 1):
-        w_new = project_capped_simplex(z - step * gradient(z), k)
-        fixed_point = project_capped_simplex(w_new - step * gradient(w_new), k)
-        kkt = float(np.linalg.norm(w_new - fixed_point))
-        obj = rot_objective(w_new)
+        w_new = project(z - step * gradient(z))
+        obj = quadratic(w_new)
         if obj < best_obj:
             best_w, best_obj = w_new, obj
-        if kkt <= cfg.rot_tolerance:
-            return RotSolution(w_new, obj, iterations, kkt, True)
+        if np.linalg.norm(w_new - z) <= cfg.rot_tolerance:
+            kkt = residual(w_new)
+            if kkt <= cfg.rot_tolerance:
+                return solution(w_new, iterations, kkt, True)
         if obj > prev_obj:
             # momentum overshoot: restart acceleration
-            t = 1.0
+            momentum = 1.0
             z = w_new
         else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = w_new + ((t - 1.0) / t_new) * (w_new - w)
-            t = t_new
+            m_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+            z = w_new + ((momentum - 1.0) / m_new) * (w_new - w)
+            momentum = m_new
         w = w_new
         prev_obj = obj
-    return RotSolution(best_w, best_obj, iterations, kkt, False)
+    return solution(best_w, iterations, residual(best_w), False)

@@ -5,7 +5,8 @@ import pytest
 
 from pgthresh import (ExhaustiveLimitError, SolverConfig,
                       exact_optimal_threshold, hard_threshold,
-                      project_capped_simplex, solve_rot, top_k_support)
+                      project_capped_simplex, solve, solve_rot, top_k_support)
+from pgthresh import operators, solvers
 from pgthresh.bench import ExperimentConfig, make_trial_problem
 
 
@@ -163,6 +164,18 @@ def test_projection_matches_kkt_oracle():
         assert np.allclose(w, oracle, atol=1e-8)
 
 
+def test_projection_with_ties_matches_kkt_oracle():
+    # repeated entries and entries exactly 1 apart make breakpoints coincide
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        k = int(rng.integers(0, n + 1))
+        v = rng.integers(-2, 5, size=n) * 0.5
+        w = project_capped_simplex(v, k)
+        assert abs(w.sum() - k) <= 1e-10 * max(1, k)
+        assert np.allclose(w, _projection_kkt_oracle(v, k), atol=1e-10)
+
+
 def test_projection_idempotent_and_nonexpansive():
     rng = np.random.default_rng(22)
     for _ in range(30):
@@ -209,14 +222,22 @@ def test_solve_rot_feasible_and_below_binary_optimum():
 
 
 def test_solve_rot_iteration_exhaustion_flagged():
-    rng = np.random.default_rng(34)
-    a = rng.standard_normal((20, 40))
-    y = rng.standard_normal(20)
-    u = rng.standard_normal(40)
-    cfg = SolverConfig(rot_max_iterations=2, rot_tolerance=1e-14)
-    sol = solve_rot(a, y, u, 5, cfg)
-    assert not sol.converged
-    assert abs(sol.w.sum() - 5) <= 1e-9 * 5
+    # at (36, 86) a restart makes the best iterate differ from the last one
+    for seed, max_iterations in [(34, 2), (36, 86)]:
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((20, 40))
+        y = rng.standard_normal(20)
+        u = rng.standard_normal(40)
+        cfg = SolverConfig(rot_max_iterations=max_iterations, rot_tolerance=1e-14)
+        sol = solve_rot(a, y, u, 5, cfg)
+        assert not sol.converged
+        assert abs(sol.w.sum() - 5) <= 1e-9 * 5
+        # the reported residual is the fixed-point residual of the returned w
+        b = a * u
+        step = 1.0 / (2.0 * np.linalg.norm(b, 2) ** 2)
+        grad = 2.0 * b.T @ (b @ sol.w - y)
+        kkt = np.linalg.norm(sol.w - project_capped_simplex(sol.w - step * grad, 5))
+        assert sol.kkt_residual == pytest.approx(kkt, rel=1e-6)
 
 
 @pytest.mark.parametrize("k", [10, 20, 30])
@@ -232,6 +253,57 @@ def test_solve_rot_converges_at_bench_scale(k):
         sol = solve_rot(problem.a, problem.y, u, k, cfg)
         assert sol.converged, (k, trial, sol.kkt_residual)
         assert sol.kkt_residual <= cfg.rot_tolerance
+
+
+@pytest.mark.parametrize("n, k, t", [
+    (10, 4, 2),   # t < k: supp(u) alone cannot carry the k ones
+    (10, 4, 8),   # n - t < k: sum(w_S) >= k - (n - t) > 0
+    (10, 3, 10),  # t = n: the q = n reductions
+])
+def test_solve_rot_reduced_feasible_set(n, k, t):
+    rng = np.random.default_rng(35 + t)
+    cfg = SolverConfig()
+    for _ in range(10):
+        a = rng.standard_normal((6, n)) / np.sqrt(6)
+        y = rng.standard_normal(6)
+        u = np.zeros(n)
+        u[rng.choice(n, size=t, replace=False)] = rng.standard_normal(t)
+        sol = solve_rot(a, y, u, k, cfg)
+        assert abs(sol.w.sum() - k) <= 1e-9 * k
+        assert np.all(sol.w >= 0) and np.all(sol.w <= 1)
+        assert sol.converged and sol.kkt_residual <= cfg.rot_tolerance
+        _, x = exact_optimal_threshold(a, y, u, k)
+        binary_obj = float(np.linalg.norm(y - a @ x) ** 2)
+        assert sol.objective <= binary_obj + 1e-6
+
+
+@pytest.mark.parametrize("k", [10, 20, 30])
+def test_solve_rot_projects_at_most_once_per_iteration(k, monkeypatch):
+    # the stop test uses the gradient mapping at the extrapolated point, so
+    # the only extra projection is the fixed-point certificate at the end
+    calls = []
+    project = operators.project_capped_simplex
+
+    def counting_project(v, total):
+        calls.append(total)
+        return project(v, total)
+
+    per_solve = []
+    rot = solvers.solve_rot
+
+    def counting_rot(*args, **kwargs):
+        before = len(calls)
+        sol = rot(*args, **kwargs)
+        per_solve.append((len(calls) - before, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(operators, "project_capped_simplex", counting_project)
+    monkeypatch.setattr(solvers, "solve_rot", counting_rot)
+    exp = ExperimentConfig(m=100, n=200, k_grid=(k,), seed=1)
+    solve(make_trial_problem(exp, k, 2 * k, "pgrotp", 0), "pgrotp")
+    assert per_solve
+    for projections, iterations in per_solve:
+        assert projections <= iterations + 1
 
 
 @pytest.mark.parametrize("u", [np.zeros(6), np.arange(1.0, 7.0)])

@@ -15,14 +15,12 @@ def _planted(m, n, k, q, seed, sigma=0.0):
     support = rng.choice(n, size=k, replace=False)
     x_star[support] = rng.standard_normal(k)
     y = a @ x_star
-    noise_norm = None
     if sigma > 0:
         # noise scaled with the matrix so the noise-to-signal ratio matches
         # the raw-ensemble protocol
         eta = sigma * rng.standard_normal(m) / np.sqrt(m)
         y = y + eta
-        noise_norm = float(np.linalg.norm(eta))
-    return ProblemInstance(a, y, k=k, q=q, truth=x_star, noise_norm=noise_norm)
+    return ProblemInstance(a, y, k=k, q=q, truth=x_star)
 
 
 def _identity_problem(n, k):
