@@ -173,8 +173,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

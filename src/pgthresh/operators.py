@@ -33,11 +33,7 @@ def hard_threshold(v, k: int) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     _check_k(k, v.size)
-    if k == v.size:
-        return v.copy()
     out = np.zeros_like(v)
-    if k == 0:
-        return out
     # stable sort on -|v| keeps the lower index first among equal magnitudes
     order = np.argsort(-np.abs(v), kind="stable")[:k]
     out[order] = v[order]

@@ -40,9 +40,9 @@ def check_recovery(x, x_star, tol: float = 1e-3) -> bool:
     return float(np.linalg.norm(x - x_star)) / denom <= tol
 
 
-def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    """u = x + lam * H_q(A^T (y - A x))."""
-    g = problem.a.T @ (problem.y - problem.a @ x)
+def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray,
+                            g: np.ndarray) -> np.ndarray:
+    """u = x + lam * H_q(g), with g = A^T (y - A x) the gradient at x."""
     return x + problem.lam * hard_threshold(g, problem.q)
 
 
@@ -94,54 +94,58 @@ def pgot_step(a, y, x, k: int, q: int, lam: float = 1.0,
               exhaustive_limit: int = 200_000) -> np.ndarray:
     """One exact PGOT iteration from x (used by the theory verifier too)."""
     problem = ProblemInstance(a, y, k=k, q=q, lam=lam)
-    u = _partial_gradient_point(problem, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    g = problem.a.T @ (problem.y - problem.a @ x)
+    u = _partial_gradient_point(problem, x, g)
     _, x_next = optimal_threshold_on_support(a, y, u, k, exhaustive_limit)
     return x_next
 
 
 def _run(problem: ProblemInstance, cfg: SolverConfig, step):
-    """Shared iteration loop: x0 = 0, stopping by recovery / residual / stall."""
+    """Shared iteration loop: x0 = 0, stopping by recovery / residual / stall.
+
+    The only place the loop forms the residual r = y - A x: ||r|| is the
+    trace objective and the residual stop, and ``step(x, g, p, events)``
+    receives the gradient g = A^T r of the iterate it moves from.
+    """
+    a, y, truth = problem.a, problem.y, problem.truth
+    denom = None if truth is None else np.linalg.norm(truth)
     x = np.zeros(problem.n)
+    x_prev = None
     events: list[str] = []
     trace: list[TraceEntry] = []
-
-    def record(p, xp):
-        """Append the trace entry of iterate p; return its termination, if any."""
-        residual = linalg.residual_norm(problem.a, problem.y, xp)
-        rel = None
-        if problem.truth is not None:
-            denom = np.linalg.norm(problem.truth)
-            rel = (float(np.linalg.norm(xp - problem.truth)) / denom
-                   if denom > 0 else float(np.linalg.norm(xp)))
-        trace.append(TraceEntry(p, residual, rel))
-        if problem.truth is not None and check_recovery(
-                xp, problem.truth, cfg.recovery_tolerance):
-            return RECOVERY
-        if residual <= cfg.residual_tolerance:
-            return RESIDUAL
-        return None
-
-    termination = record(0, x)
     p = 0
-    while termination is None and p < cfg.max_iterations:
-        x_new = step(x, p, events)
-        p += 1
-        termination = record(p, x_new)
-        if termination is None and np.array_equal(x_new, x):
+    while True:
+        r = y - a @ x
+        residual = float(np.linalg.norm(r))
+        rel = None
+        if truth is not None:
+            # check_recovery's relative error, so the test below is its test
+            rel = (float(np.linalg.norm(x - truth)) / denom
+                   if denom > 0 else float(np.linalg.norm(x)))
+        trace.append(TraceEntry(p, residual, rel))
+        if rel is not None and rel <= cfg.recovery_tolerance:
+            termination = RECOVERY
+        elif residual <= cfg.residual_tolerance:
+            termination = RESIDUAL
+        elif x_prev is not None and np.array_equal(x, x_prev):
             termination = STALLED
-        x = x_new
-    if termination is None:
-        termination = MAX_ITERATIONS
-    return SolverReport(final_x=x, iterations=p, trace=trace,
-                        termination=termination, events=events)
+        elif p >= cfg.max_iterations:
+            termination = MAX_ITERATIONS
+        else:
+            x_prev, x = x, step(x, a.T @ r, p, events)
+            p += 1
+            continue
+        return SolverReport(final_x=x, iterations=p, trace=trace,
+                            termination=termination, events=events)
 
 
 def pgot(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverReport:
     """Partial-gradient optimal k-thresholding with exhaustive subproblem."""
     cfg = cfg or SolverConfig()
 
-    def step(x, p, events):
-        u = _partial_gradient_point(problem, x)
+    def step(x, g, p, events):
+        u = _partial_gradient_point(problem, x, g)
         _, x_next = optimal_threshold_on_support(
             problem.a, problem.y, u, problem.k, cfg.exhaustive_limit)
         return x_next
@@ -162,8 +166,8 @@ def pgrot(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRe
     """Relaxed partial-gradient optimal k-thresholding."""
     cfg = cfg or SolverConfig()
 
-    def step(x, p, events):
-        u = _partial_gradient_point(problem, x)
+    def step(x, g, p, events):
+        u = _partial_gradient_point(problem, x, g)
         w = _rot_weights(problem, u, cfg, p, events)
         return hard_threshold(w * u, problem.k)
 
@@ -174,8 +178,8 @@ def pgrotp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverR
     """Relaxed partial-gradient optimal k-thresholding with pursuit step."""
     cfg = cfg or SolverConfig()
 
-    def step(x, p, events):
-        u = _partial_gradient_point(problem, x)
+    def step(x, g, p, events):
+        u = _partial_gradient_point(problem, x, g)
         w = _rot_weights(problem, u, cfg, p, events)
         support = top_k_support(w * u, problem.k)
         return linalg.least_squares_on_support(problem.a, problem.y, support)
@@ -191,8 +195,7 @@ def iht(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepo
         lmax = linalg.gram_lambda_max(problem.a)
         lam = 1.0 / lmax if lmax > 0 else lam  # A = 0: the step is moot
 
-    def step(x, p, events):
-        g = problem.a.T @ (problem.y - problem.a @ x)
+    def step(x, g, p, events):
         return hard_threshold(x + lam * g, problem.k)
 
     return _run(problem, cfg, step)
@@ -203,8 +206,8 @@ def omp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepo
     cfg = cfg or SolverConfig()
     support: list[int] = []
 
-    def step(x, p, events):
-        corr = np.abs(problem.a.T @ (problem.y - problem.a @ x))
+    def step(x, g, p, events):
+        corr = np.abs(g)
         corr[support] = -np.inf
         support.append(int(np.argmax(corr)))  # argmax breaks ties at lowest index
         return linalg.least_squares_on_support(problem.a, problem.y, support)
@@ -217,9 +220,8 @@ def sp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepor
     """Subspace pursuit: merge top-k correlations, fit, prune to k, re-fit."""
     cfg = cfg or SolverConfig()
 
-    def step(x, p, events):
-        corr = problem.a.T @ (problem.y - problem.a @ x)
-        merged = np.union1d(np.flatnonzero(x), top_k_support(corr, problem.k))
+    def step(x, g, p, events):
+        merged = np.union1d(np.flatnonzero(x), top_k_support(g, problem.k))
         z = linalg.least_squares_on_support(problem.a, problem.y, merged)
         pruned = top_k_support(z, problem.k)
         return linalg.least_squares_on_support(problem.a, problem.y, pruned)

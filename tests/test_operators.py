@@ -15,6 +15,10 @@ def test_hard_threshold_examples():
     assert np.allclose(hard_threshold([3, 1, -4, 0], 4), [3, 1, -4, 0])
     # tie between 2 and -2: lower index wins
     assert np.allclose(hard_threshold([2, -2, 1], 1), [2, 0, 0])
+    assert hard_threshold([3, 1, -4, 0], 0).tobytes() == np.zeros(4).tobytes()
+    # k = n keeps every entry bit for bit, signed zeros included
+    v = np.array([-0.0, 2.5, 0.0, -1.0, -0.0])
+    assert hard_threshold(v, v.size).tobytes() == v.tobytes()
 
 
 def test_hard_threshold_rejects_bad_k():

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from pgthresh import (MAX_ITERATIONS, RECOVERY, RESIDUAL, ProblemInstance,
-                      SolverConfig, check_recovery, hard_threshold,
-                      least_squares_on_support, residual_norm, solve,
-                      solve_rot, top_k_support)
+from pgthresh import (ALGORITHM_IDS, MAX_ITERATIONS, RECOVERY, RESIDUAL,
+                      ProblemInstance, SolverConfig, check_recovery,
+                      hard_threshold, least_squares_on_support, residual_norm,
+                      solve, solve_rot, top_k_support)
 from pgthresh.solvers import _partial_gradient_point
 
 
@@ -56,7 +58,8 @@ def test_pgrot_k_equals_n_equals_q():
     # singleton feasible set: w = e, H_n identity, so x^1 = u^0
     problem = _planted(6, 4, 4, 4, seed=9)
     report = solve(problem, "pgrot", SolverConfig(max_iterations=1))
-    u0 = _partial_gradient_point(problem, np.zeros(4))
+    u0 = _partial_gradient_point(problem, np.zeros(4),
+                                 problem.a.T @ problem.y)
     assert np.allclose(report.trace[1].objective,
                        residual_norm(problem.a, problem.y, u0))
 
@@ -132,7 +135,8 @@ def test_pgrotp_pursuit_dominates_hard_thresholding():
     problem = _planted(12, 20, 3, 6, seed=15)
     x = np.zeros(20)
     for _ in range(5):
-        u = _partial_gradient_point(problem, x)
+        g = problem.a.T @ (problem.y - problem.a @ x)
+        u = _partial_gradient_point(problem, x, g)
         sol = solve_rot(problem.a, problem.y, u, problem.k)
         candidate = hard_threshold(sol.w * u, problem.k)
         support = top_k_support(sol.w * u, problem.k)
@@ -154,12 +158,31 @@ def test_full_gradient_reduction_traces_identical(partial, full):
         assert ep == ef
 
 
-def test_recovery_reported_only_when_criterion_passes():
+@pytest.mark.parametrize("algo", ALGORITHM_IDS)
+def test_recovery_reported_only_when_criterion_passes(algo):
+    # the loop's own recovery test and trace objective agree with the public
+    # helpers; the exhaustive pgot / ot subproblems need a smaller instance
     for seed in range(10):
-        problem = _planted(20, 40, 12, 24, seed=seed)
-        report = solve(problem, "iht", SolverConfig(max_iterations=10))
-        if report.termination == RECOVERY:
-            assert check_recovery(report.final_x, problem.truth, 1e-3)
+        problem = (_planted(8, 12, 2, 4, seed=seed) if algo in ("pgot", "ot")
+                   else _planted(20, 40, 4, 8, seed=seed))
+        report = solve(problem, algo, SolverConfig(max_iterations=10))
+        assert ((report.termination == RECOVERY)
+                == check_recovery(report.final_x, problem.truth, 1e-3))
+        assert report.trace[-1].objective == residual_norm(
+            problem.a, problem.y, report.final_x)
+
+
+@pytest.mark.parametrize("algo", ["pgrot", "pgrotp", "rotp"])
+def test_rot_nonconvergence_reported_per_iteration(algo):
+    problem = _planted(10, 14, 3, 6, seed=7)
+    report = solve(problem, algo,
+                   SolverConfig(rot_max_iterations=1, max_iterations=2))
+    assert len(report.events) == 2
+    for p, event in enumerate(report.events, start=1):
+        assert re.fullmatch(
+            rf"rot subproblem not converged at iteration {p} "
+            r"\(kkt_residual=\d\.\d{3}e[+-]\d+\)", event)
+    assert solve(problem, algo).events == []
 
 
 def test_check_recovery_cases():
