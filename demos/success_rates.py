@@ -7,7 +7,7 @@ relative reconstruction error is at most 1e-3.
 """
 
 from pgthresh.bench import (ExperimentConfig, SUCCESS_HEADER,
-                            success_rate_experiment, write_csv)
+                            success_rate_experiment, success_rows, write_csv)
 
 K_GRID = tuple(range(2, 41, 4))
 
@@ -27,7 +27,6 @@ for sigma in (0.0, 0.001):
                  for a in cfg.algorithms]
         print(f"{k:>4}" + "".join(f"{r:>10.2f}" for r in rates))
 
-rows = [(r.m, r.n, r.k, r.q, r.algorithm, r.sigma, r.success_count,
-         r.trials, r.rate) for r in all_results]
+rows = success_rows(all_results)
 write_csv(rows, "success_rates.csv", SUCCESS_HEADER)
 print(f"\nwrote success_rates.csv ({len(rows)} rows)")

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ProblemInstance, SolverConfig
-from .solvers import check_recovery, solve
+from .solvers import ALGORITHM_IDS, check_recovery, solve
 
 TRACE_HEADER = "iter,algo,q,objective"
 ITERATIONS_HEADER = "m,n,k,q,algo,mean_iters,trials"
@@ -38,11 +38,13 @@ class ExperimentConfig:
     scaling: str = "inv_sqrt_m"
     threads: int = 1
     trace_iterations: int = 70
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not self.k_grid or not self.q_list or not self.algorithms:
             raise ValueError("k_grid, q_list and algorithms must be nonempty")
+        for algo in self.algorithms:
+            if algo not in ALGORITHM_IDS:
+                raise ValueError(f"unknown algorithm {algo!r}")
         if any(k > self.n for k in self.k_grid):
             raise ValueError("every k must satisfy k <= n")
         if self.sigma < 0:
@@ -64,7 +66,6 @@ class CellResult:
     success_count: int
     trials: int
     mean_iterations: float
-    mean_final_objective: float
 
     @property
     def rate(self) -> float:
@@ -145,11 +146,15 @@ def _map(fn, items, threads: int):
 def objective_trace_experiment(cfg: ExperimentConfig) -> list[tuple]:
     """Objective value per iteration for PGROTP at each q in the q-list.
 
-    Single (m, n, k) cell, fixed iteration budget (trace_iterations); rows
-    are (iteration, algo, q, ||y - A x^p||_2).
+    Single (m, n, k) cell on trial 0's instance, fixed iteration budget
+    (trace_iterations); rows are (iteration, algo, q, ||y - A x^p||_2).
+    The config must name exactly one k and algorithms ("pgrotp",).
     """
-    k = cfg.k_grid[0]
-    solver_cfg = replace(cfg.solver, max_iterations=cfg.trace_iterations)
+    if len(cfg.k_grid) != 1 or cfg.algorithms != ("pgrotp",):
+        raise ValueError("the trace experiment runs pgrotp on one k: "
+                         f"got k_grid={cfg.k_grid}, algorithms={cfg.algorithms}")
+    (k,) = cfg.k_grid
+    solver_cfg = SolverConfig(max_iterations=cfg.trace_iterations)
 
     def run(q_token):
         q = resolve_q(q_token, k, cfg.n)
@@ -167,10 +172,9 @@ def objective_trace_experiment(cfg: ExperimentConfig) -> list[tuple]:
 
 def _run_cell(cfg: ExperimentConfig, k: int, q_token, algo: str) -> CellResult:
     q = resolve_q(q_token, k, cfg.n)
-    solver_cfg = cfg.solver
+    solver_cfg = SolverConfig()
     successes = 0
     iteration_sum = 0.0
-    objective_sum = 0.0
     for trial in range(cfg.trials):
         problem = make_trial_problem(cfg, k, q, algo, trial)
         report = solve(problem, algo, solver_cfg)
@@ -179,10 +183,8 @@ def _run_cell(cfg: ExperimentConfig, k: int, q_token, algo: str) -> CellResult:
         successes += int(ok)
         # failed trials are charged the full iteration budget
         iteration_sum += report.iterations if ok else solver_cfg.max_iterations
-        objective_sum += report.trace[-1].objective
     return CellResult(cfg.m, cfg.n, k, q, algo, cfg.sigma, successes,
-                      cfg.trials, iteration_sum / cfg.trials,
-                      objective_sum / cfg.trials)
+                      cfg.trials, iteration_sum / cfg.trials)
 
 
 def _run_grid(cfg: ExperimentConfig) -> list[CellResult]:

@@ -141,9 +141,6 @@ def cmd_bench(args) -> int:
             algorithms=algos, trials=args.trials, sigma=args.sigma,
             seed=args.seed, scaling=args.scaling, threads=args.threads,
             trace_iterations=args.trace_iters)
-        for algo in algos:
-            if algo not in ALGORITHM_IDS:
-                raise UsageError(f"unknown algorithm {algo!r}")
         if args.experiment == "trace":
             rows = bench.objective_trace_experiment(cfg)
             bench.write_csv(rows, args.csv, bench.TRACE_HEADER)

@@ -78,7 +78,6 @@ class SolverConfig:
     residual_tolerance: float = 1e-6
     rot_tolerance: float = 1e-8
     rot_max_iterations: int = 5000
-    exhaustive_limit: int = 200_000
     normalize_stepsize: bool = False
 
     def __post_init__(self):
@@ -88,8 +87,6 @@ class SolverConfig:
                     self.rot_tolerance):
             if tol <= 0:
                 raise ValueError("tolerances must be positive")
-        if self.exhaustive_limit < 1:
-            raise ValueError("exhaustive_limit must be positive")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,11 @@ from .model import SolverConfig
 
 
 class ExhaustiveLimitError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured limit."""
+    """Raised when an exhaustive enumeration would exceed EXHAUSTIVE_LIMIT."""
+
+
+# patterns an exhaustive enumeration (exact OP, brute-force RIC) may visit
+EXHAUSTIVE_LIMIT = 200_000
 
 
 def _check_k(k: int, n: int) -> None:

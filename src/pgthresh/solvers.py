@@ -17,8 +17,8 @@ import numpy as np
 from . import linalg
 from .model import (MAX_ITERATIONS, RECOVERY, RESIDUAL, STALLED,
                     ProblemInstance, SolverConfig, SolverReport, TraceEntry)
-from .operators import (ExhaustiveLimitError, _check_k, hard_threshold,
-                        solve_rot, top_k_support)
+from .operators import (EXHAUSTIVE_LIMIT, ExhaustiveLimitError, _check_k,
+                        hard_threshold, solve_rot, top_k_support)
 
 ALGORITHM_IDS = ("pgot", "pgrot", "pgrotp", "ot", "rot", "rotp",
                  "iht", "omp", "sp")
@@ -46,8 +46,7 @@ def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray,
     return x + problem.lam * hard_threshold(g, problem.q)
 
 
-def optimal_threshold_on_support(a, y, u, k: int,
-                                 exhaustive_limit: int = 200_000):
+def optimal_threshold_on_support(a, y, u, k: int):
     """Binary optimal k-thresholding: min ||y - A (u * w)||_2^2 over w in
     {0,1}^n with exactly k ones.
 
@@ -68,9 +67,9 @@ def optimal_threshold_on_support(a, y, u, k: int,
     j_max = min(k, t)
     j_min = max(0, k - (n - t))
     total = sum(comb(t, j) for j in range(j_min, j_max + 1))
-    if total > exhaustive_limit:
+    if total > EXHAUSTIVE_LIMIT:
         raise ExhaustiveLimitError(
-            f"instance too large for exact OP: {total} patterns > {exhaustive_limit}")
+            f"instance too large for exact OP: {total} patterns > {EXHAUSTIVE_LIMIT}")
     b = a[:, supp] * u[supp]
     best_obj = np.inf
     best: tuple = ()
@@ -90,14 +89,13 @@ def optimal_threshold_on_support(a, y, u, k: int,
     return w, u * w
 
 
-def pgot_step(a, y, x, k: int, q: int, lam: float = 1.0,
-              exhaustive_limit: int = 200_000) -> np.ndarray:
+def pgot_step(a, y, x, k: int, q: int, lam: float = 1.0) -> np.ndarray:
     """One exact PGOT iteration from x (used by the theory verifier too)."""
     problem = ProblemInstance(a, y, k=k, q=q, lam=lam)
     x = np.asarray(x, dtype=float)
     g = problem.a.T @ (problem.y - problem.a @ x)
     u = _partial_gradient_point(problem, x, g)
-    _, x_next = optimal_threshold_on_support(a, y, u, k, exhaustive_limit)
+    _, x_next = optimal_threshold_on_support(a, y, u, k)
     return x_next
 
 
@@ -146,8 +144,8 @@ def pgot(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRep
 
     def step(x, g, p, events):
         u = _partial_gradient_point(problem, x, g)
-        _, x_next = optimal_threshold_on_support(
-            problem.a, problem.y, u, problem.k, cfg.exhaustive_limit)
+        _, x_next = optimal_threshold_on_support(problem.a, problem.y, u,
+                                                 problem.k)
         return x_next
 
     return _run(problem, cfg, step)

@@ -15,13 +15,12 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .operators import ExhaustiveLimitError
+from .operators import EXHAUSTIVE_LIMIT, ExhaustiveLimitError
 from .solvers import pgot_step
 
 _GOLDEN = (sqrt(5.0) + 1.0) / 2.0
 
 Q_REGIMES = ("q=2k", "2k<q<=3k", "3k<q<=4k")
-BOUND_VARIANTS = ("pgot", "pgrot", "pgrotp")
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ def contraction_constants(ric: RicTriple, q: int, k: int,
     return ContractionConstants(rho=rho, tau=tau, variant=variant)
 
 
-def brute_force_ric(a, s: int, exhaustive_limit: int = 200_000) -> float:
+def brute_force_ric(a, s: int) -> float:
     """Exact s-th order restricted isometry constant by subset enumeration.
 
     delta_s = max over |S| = s of || A_S^T A_S - I ||_2.
@@ -156,9 +155,9 @@ def brute_force_ric(a, s: int, exhaustive_limit: int = 200_000) -> float:
     n = a.shape[1]
     if not 1 <= s <= n:
         raise ValueError(f"s={s} must be in [1, {n}]")
-    if comb(n, s) > exhaustive_limit:
+    if comb(n, s) > EXHAUSTIVE_LIMIT:
         raise ExhaustiveLimitError(
-            f"instance too large for brute-force RIC: C({n},{s}) > {exhaustive_limit}")
+            f"instance too large for brute-force RIC: C({n},{s}) > {EXHAUSTIVE_LIMIT}")
     gram = a.T @ a
     eye = np.eye(s)
     delta = 0.0
@@ -194,8 +193,7 @@ def table1() -> BoundTable:
     return BoundTable(entries)
 
 
-def verify_one_step_bound(a, x_star, x_p, q: int, k: int,
-                          exhaustive_limit: int = 200_000):
+def verify_one_step_bound(a, x_star, x_p, q: int, k: int):
     """Check the one-step PGOT error bound on a noiseless planted instance.
 
     Runs one exact PGOT iteration from x_p with y = A x*, evaluates both
@@ -206,11 +204,10 @@ def verify_one_step_bound(a, x_star, x_p, q: int, k: int,
     x_star = np.asarray(x_star, dtype=float)
     x_p = np.asarray(x_p, dtype=float)
     y = a @ x_star
-    ric = RicTriple(brute_force_ric(a, k, exhaustive_limit),
-                    brute_force_ric(a, 2 * k, exhaustive_limit),
-                    brute_force_ric(a, 3 * k, exhaustive_limit))
+    ric = RicTriple(brute_force_ric(a, k), brute_force_ric(a, 2 * k),
+                    brute_force_ric(a, 3 * k))
     constants = contraction_constants(ric, q, k, "pgot")
-    x_next = pgot_step(a, y, x_p, k, q, exhaustive_limit=exhaustive_limit)
+    x_next = pgot_step(a, y, x_p, k, q)
     lhs = float(np.linalg.norm(x_next - x_star))
     rhs = constants.rho * float(np.linalg.norm(x_p - x_star))
     holds = lhs <= rhs * (1.0 + 1e-12) + 1e-12

@@ -79,6 +79,11 @@ def test_experiment_config_validation():
         ExperimentConfig(m=10, n=20, k_grid=(2,), scaling="weird")
 
 
+def test_experiment_config_rejects_unknown_algorithm():
+    with pytest.raises(ValueError, match="'pgrtop'"):
+        ExperimentConfig(m=10, n=20, k_grid=(2,), algorithms=("sp", "pgrtop"))
+
+
 def _small_cfg(**kw):
     defaults = dict(m=20, n=40, k_grid=(2, 4), q_list=("2k",),
                     algorithms=("pgrotp", "omp"), trials=3, seed=11)
@@ -127,8 +132,16 @@ def test_trace_experiment_identity_like_instance():
         assert trace[-1] <= 1e-3
 
 
+def test_trace_experiment_rejects_what_it_would_ignore():
+    for k_grid, algos in (((2, 4), ("pgrotp",)), ((2,), ("omp",)),
+                          ((2,), ("pgrotp", "sp"))):
+        cfg = _small_cfg(k_grid=k_grid, algorithms=algos)
+        with pytest.raises(ValueError, match="pgrotp on one k"):
+            objective_trace_experiment(cfg)
+
+
 def test_cell_result_rate():
-    r = CellResult(1, 2, 3, 4, "sp", 0.0, 3, 4, 1.0, 0.5)
+    r = CellResult(1, 2, 3, 4, "sp", 0.0, 3, 4, 1.0)
     assert r.rate == 0.75
 
 

@@ -99,6 +99,26 @@ def test_bench_trace_csv(tmp_path):
     assert qs == {"4", "40"}
 
 
+def test_bench_trace_rejects_other_algorithms_and_k(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = main(["bench", "--experiment", "trace", "--m", "20", "--n", "40",
+                 "--k-grid", "2,4", "--algos", "omp", "--seed", "3",
+                 "--csv", str(out)])
+    assert code == 1
+    assert "pgrotp on one k" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_unknown_algorithm(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["bench", "--experiment", "success", "--m", "10", "--n", "20",
+                 "--k-grid", "2", "--algos", "sp,pgrtop", "--seed", "1",
+                 "--csv", str(out)])
+    assert code == 1
+    assert "unknown algorithm 'pgrtop'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_requires_seed(capsys):
     code = main(["bench", "--experiment", "success", "--m", "10", "--n", "20",
                  "--k-grid", "2", "--csv", "x.csv"])

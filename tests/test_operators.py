@@ -74,7 +74,7 @@ def test_exact_optimal_threshold_derived_pattern():
 def test_exact_optimal_threshold_limit_guard():
     a = np.ones((2, 30))
     with pytest.raises(ExhaustiveLimitError):
-        exact_optimal_threshold(a, [1, 1], np.ones(30), 15, exhaustive_limit=100)
+        exact_optimal_threshold(a, [1, 1], np.ones(30), 15)
 
 
 def _binary_optimum(a, y, u, k):

@@ -152,7 +152,7 @@ def test_brute_force_ric_dominates_random_search():
 
 def test_brute_force_ric_limit_guard():
     with pytest.raises(ExhaustiveLimitError):
-        brute_force_ric(np.ones((4, 30)), 15, exhaustive_limit=1000)
+        brute_force_ric(np.ones((4, 30)), 15)
 
 
 def test_table1_structure():
