@@ -45,8 +45,11 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHM_IDS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if any(k > self.n for k in self.k_grid):
-            raise ValueError("every k must satisfy k <= n")
+        for k in self.k_grid:
+            if not 1 <= k <= self.n:
+                raise ValueError(f"k={k} must satisfy 1 <= k <= n={self.n}")
+        for token in self.q_list:  # raises on a token it cannot parse
+            resolve_q(token, 1, self.n)
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if self.scaling not in SCALINGS:
@@ -103,13 +106,17 @@ def resolve_q(token, k: int, n: int) -> int:
         q = int(token)
     else:
         text = str(token).strip().lower()
-        if text == "n":
-            q = n
-        elif text.endswith("k"):
-            mult = text[:-1]
-            q = (int(mult) if mult else 1) * k
-        else:
-            q = int(text)
+        try:
+            if text == "n":
+                q = n
+            elif text.endswith("k"):
+                mult = text[:-1]
+                q = (int(mult) if mult else 1) * k
+            else:
+                q = int(text)
+        except ValueError:
+            raise ValueError(f"bad q token {token!r}: expected 'k', '<int>k', "
+                             "'n' or an integer") from None
     return max(k, min(q, n))
 
 

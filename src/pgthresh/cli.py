@@ -70,13 +70,14 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--k-grid", required=True)
     p_bench.add_argument("--q-list", default="2k")
     p_bench.add_argument("--algos", default="pgrotp")
-    p_bench.add_argument("--trials", type=int, default=50)
+    # None: the flag was omitted and ExperimentConfig's default applies
+    p_bench.add_argument("--trials", type=int)
     p_bench.add_argument("--sigma", type=float, default=0.0)
     p_bench.add_argument("--seed", type=int, required=True)
     p_bench.add_argument("--scaling", default="inv_sqrt_m",
                          choices=bench.SCALINGS)
     p_bench.add_argument("--threads", type=int, default=1)
-    p_bench.add_argument("--trace-iters", type=int, default=70)
+    p_bench.add_argument("--trace-iters", type=int)
     p_bench.add_argument("--csv", required=True)
     return parser
 
@@ -132,15 +133,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.experiment == "trace" and args.trials is not None:
+        raise UsageError("--trials does not apply to --experiment trace, "
+                         "which runs trial 0")
+    if args.experiment != "trace" and args.trace_iters is not None:
+        raise UsageError("--trace-iters applies only to --experiment trace")
+    given = {"trials": args.trials, "trace_iterations": args.trace_iters}
     try:
         k_grid = tuple(_parse_grid(args.k_grid))
         q_list = tuple(tok for tok in args.q_list.split(",") if tok)
         algos = tuple(tok for tok in args.algos.split(",") if tok)
         cfg = bench.ExperimentConfig(
             m=args.m, n=args.n, k_grid=k_grid, q_list=q_list,
-            algorithms=algos, trials=args.trials, sigma=args.sigma,
-            seed=args.seed, scaling=args.scaling, threads=args.threads,
-            trace_iterations=args.trace_iters)
+            algorithms=algos, sigma=args.sigma, seed=args.seed,
+            scaling=args.scaling, threads=args.threads,
+            **{key: value for key, value in given.items() if value is not None})
         if args.experiment == "trace":
             rows = bench.objective_trace_experiment(cfg)
             bench.write_csv(rows, args.csv, bench.TRACE_HEADER)

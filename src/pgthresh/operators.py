@@ -4,12 +4,16 @@ Contains the hard-thresholding operator, Euclidean projection onto the
 capped simplex {w : sum w = k, 0 <= w <= 1}, and the accelerated
 projected-gradient solver for the convex relaxation of optimal thresholding,
 run on the |supp u| weights the objective depends on and lifted back to n.
-The exhaustive binary subproblem is ``solvers.optimal_threshold_on_support``.
+``combination_chunks`` is the one exhaustive enumeration, in bounded chunks
+under ``EXHAUSTIVE_LIMIT``, of the exact binary subproblem
+(``solvers.optimal_threshold_on_support``) and of ``theory.brute_force_ric``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -23,6 +27,30 @@ class ExhaustiveLimitError(ValueError):
 
 # patterns an exhaustive enumeration (exact OP, brute-force RIC) may visit
 EXHAUSTIVE_LIMIT = 200_000
+
+# floats a caller's per-chunk array may hold: 2**16 floats = 512 KiB
+CHUNK_FLOATS = 2**16
+
+
+def combination_chunks(t: int, sizes, floats_per_pattern: int):
+    """Yield every j-subset of range(t), for each j in the sequence sizes, as
+    (rows, j) int arrays whose rows are in lexicographic order.
+
+    Raises ExhaustiveLimitError before yielding anything if the subsets
+    number more than EXHAUSTIVE_LIMIT in all.  A chunk has at most
+    CHUNK_FLOATS // floats_per_pattern rows (at least one), so an array of
+    floats_per_pattern floats per row holds at most CHUNK_FLOATS floats.
+    """
+    total = sum(comb(t, j) for j in sizes)
+    if total > EXHAUSTIVE_LIMIT:
+        raise ExhaustiveLimitError(
+            f"instance too large for exhaustive enumeration: "
+            f"{total} patterns > {EXHAUSTIVE_LIMIT}")
+    rows = max(1, CHUNK_FLOATS // max(1, floats_per_pattern))
+    for j in sizes:
+        combos = itertools.combinations(range(t), j)
+        while chunk := list(itertools.islice(combos, rows)):
+            yield np.array(chunk, dtype=int).reshape(len(chunk), j)
 
 
 def _check_k(k: int, n: int) -> None:

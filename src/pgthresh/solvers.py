@@ -9,16 +9,14 @@ ROTP are the same algorithms with the partial-gradient width forced to n.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from math import comb
 
 import numpy as np
 
 from . import linalg
 from .model import (MAX_ITERATIONS, RECOVERY, RESIDUAL, STALLED,
                     ProblemInstance, SolverConfig, SolverReport, TraceEntry)
-from .operators import (EXHAUSTIVE_LIMIT, ExhaustiveLimitError, _check_k,
-                        hard_threshold, solve_rot, top_k_support)
+from .operators import (_check_k, combination_chunks, hard_threshold,
+                        solve_rot, top_k_support)
 
 ALGORITHM_IDS = ("pgot", "pgrot", "pgrotp", "ot", "rot", "rotp",
                  "iht", "omp", "sp")
@@ -55,7 +53,8 @@ def optimal_threshold_on_support(a, y, u, k: int):
     recovered by padding with lowest-index zero positions of u.  All support
     sizes compatible with a k-ones pattern are enumerated, in lexicographic
     order keeping the first minimizer, so the result is a global minimizer
-    of the full binary problem.  Returns (w, x) with x = u * w.
+    of the full binary problem.  Returns (w, x) with x = u * w.  Raises
+    ExhaustiveLimitError beyond EXHAUSTIVE_LIMIT patterns.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -66,21 +65,19 @@ def optimal_threshold_on_support(a, y, u, k: int):
     t = supp.size
     j_max = min(k, t)
     j_min = max(0, k - (n - t))
-    total = sum(comb(t, j) for j in range(j_min, j_max + 1))
-    if total > EXHAUSTIVE_LIMIT:
-        raise ExhaustiveLimitError(
-            f"instance too large for exact OP: {total} patterns > {EXHAUSTIVE_LIMIT}")
     b = a[:, supp] * u[supp]
     best_obj = np.inf
-    best: tuple = ()
-    for j in range(j_min, j_max + 1):
-        for sub in itertools.combinations(range(t), j):
-            r = y - b[:, sub].sum(axis=1) if j else y
-            obj = float(r @ r)
-            if obj < best_obj:
-                best_obj = obj
-                best = sub
-    chosen = supp[list(best)]
+    best = np.zeros(0, dtype=int)
+    # b[:, block] holds m * j floats per pattern
+    for block in combination_chunks(t, range(j_min, j_max + 1),
+                                    y.size * j_max):
+        r = y[:, None] - b[:, block].sum(axis=2)
+        obj = np.einsum("ij,ij->j", r, r)
+        i = int(np.argmin(obj))
+        if obj[i] < best_obj:  # strict: an earlier chunk keeps a tie
+            best_obj = obj[i]
+            best = block[i]
+    chosen = supp[best]
     w = np.zeros(n)
     w[chosen] = 1.0
     if chosen.size < k:

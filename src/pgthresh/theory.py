@@ -9,13 +9,12 @@ exhaustive PGOT iteration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .operators import EXHAUSTIVE_LIMIT, ExhaustiveLimitError
+from .operators import combination_chunks
 from .solvers import pgot_step
 
 _GOLDEN = (sqrt(5.0) + 1.0) / 2.0
@@ -149,23 +148,18 @@ def contraction_constants(ric: RicTriple, q: int, k: int,
 def brute_force_ric(a, s: int) -> float:
     """Exact s-th order restricted isometry constant by subset enumeration.
 
-    delta_s = max over |S| = s of || A_S^T A_S - I ||_2.
+    delta_s = max over |S| = s of || A_S^T A_S - I ||_2.  Raises
+    ExhaustiveLimitError when C(n, s) > EXHAUSTIVE_LIMIT.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
     if not 1 <= s <= n:
         raise ValueError(f"s={s} must be in [1, {n}]")
-    if comb(n, s) > EXHAUSTIVE_LIMIT:
-        raise ExhaustiveLimitError(
-            f"instance too large for brute-force RIC: C({n},{s}) > {EXHAUSTIVE_LIMIT}")
     gram = a.T @ a
     eye = np.eye(s)
     delta = 0.0
-    combos = itertools.combinations(range(n), s)
-    while True:
-        chunk = np.array(list(itertools.islice(combos, 10_000)), dtype=int)
-        if chunk.size == 0:
-            break
+    # the Gram sub-blocks hold s * s floats per pattern
+    for chunk in combination_chunks(n, (s,), s * s):
         subs = gram[chunk[:, :, None], chunk[:, None, :]] - eye
         eigs = np.linalg.eigvalsh(subs)
         delta = max(delta, float(np.max(np.abs(eigs))))

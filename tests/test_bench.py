@@ -73,6 +73,10 @@ def test_experiment_config_validation():
         ExperimentConfig(m=10, n=20, k_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, n=20, k_grid=(30,))
+    with pytest.raises(ValueError, match="k=0 "):
+        ExperimentConfig(m=10, n=20, k_grid=(2, 0))
+    with pytest.raises(ValueError, match="q token 'foo'"):
+        ExperimentConfig(m=10, n=20, k_grid=(2,), q_list=("2k", "foo"))
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, n=20, k_grid=(2,), sigma=-1.0)
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pgthresh import io, theory
+from pgthresh import bench, io, theory
 from pgthresh.cli import _parse_grid, main
 
 
@@ -90,7 +90,7 @@ def test_bench_success_row_count_and_determinism(tmp_path, capsys):
 def test_bench_trace_csv(tmp_path):
     out = tmp_path / "t.csv"
     code = main(["bench", "--experiment", "trace", "--m", "20", "--n", "40",
-                 "--k-grid", "2", "--q-list", "2k,n", "--trials", "1",
+                 "--k-grid", "2", "--q-list", "2k,n",
                  "--seed", "3", "--trace-iters", "5", "--csv", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -107,6 +107,46 @@ def test_bench_trace_rejects_other_algorithms_and_k(tmp_path, capsys):
     assert code == 1
     assert "pgrotp on one k" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, flag, value", [
+    ("trace", "--trials", "7"),  # the trace runs trial 0 only
+    ("success", "--trace-iters", "5"),
+    ("iters", "--trace-iters", "5"),
+])
+def test_bench_rejects_flags_the_experiment_ignores(experiment, flag, value,
+                                                    tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["bench", "--experiment", experiment, "--m", "20", "--n", "40",
+                 "--k-grid", "2", "--seed", "3", flag, value,
+                 "--csv", str(out)])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_grid, q_list, message", [
+    ("2,0", "2k", "k=0 "),
+    ("2", "2k,foo", "q token 'foo'"),
+])
+def test_bench_rejects_bad_grid_before_any_cell(k_grid, q_list, message,
+                                                tmp_path, capsys, monkeypatch):
+    built = []
+    make = bench.make_trial_problem
+
+    def recording_make(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(bench, "make_trial_problem", recording_make)
+    out = tmp_path / "s.csv"
+    code = main(["bench", "--experiment", "success", "--m", "20", "--n", "40",
+                 "--k-grid", k_grid, "--q-list", q_list, "--algos", "sp",
+                 "--trials", "2", "--seed", "3", "--csv", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert built == []
 
 
 def test_bench_unknown_algorithm(tmp_path, capsys):

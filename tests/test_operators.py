@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +89,7 @@ def _binary_optimum(a, y, u, k):
 
 
 @pytest.mark.parametrize("padded", [False, True])
-def test_exact_optimal_threshold_matches_brute_force(padded):
+def test_exact_optimal_threshold_matches_brute_force(padded, monkeypatch):
     # padded: |supp u| < k, so the k ones are completed outside supp(u)
     rng = np.random.default_rng(41 + padded)
     for _ in range(25):
@@ -105,6 +107,83 @@ def test_exact_optimal_threshold_matches_brute_force(padded):
         r = y - a @ x
         best = _binary_optimum(a, y, u, k)
         assert float(r @ r) <= best + 1e-10 * max(1.0, best)
+        with monkeypatch.context() as patch:  # one or two patterns a chunk
+            patch.setattr(operators, "CHUNK_FLOATS", 2 * m)
+            assert exact_optimal_threshold(a, y, u, k)[0].tobytes() == w.tobytes()
+
+
+def _first_minimiser(a, y, u, k):
+    # the per-pattern loop: every support size in turn, lexicographic
+    # subsets of supp(u), strict < so the first minimiser is kept
+    n = u.size
+    supp = np.flatnonzero(u)
+    t = supp.size
+    best, best_obj = (), np.inf
+    for j in range(max(0, k - (n - t)), min(k, t) + 1):
+        for sub in itertools.combinations(range(t), j):
+            r = y - a[:, supp[list(sub)]] @ u[supp[list(sub)]]
+            if float(r @ r) < best_obj:
+                best, best_obj = sub, float(r @ r)
+    w = np.zeros(n)
+    w[supp[list(best)]] = 1.0
+    w[np.setdiff1d(np.arange(n), supp)[: k - len(best)]] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("chunk_floats", [None, 1, 20])
+def test_exact_optimal_threshold_ties_keep_first_minimiser(chunk_floats,
+                                                           monkeypatch):
+    # duplicated integer columns and integer u, y: every objective is an
+    # exact integer, so tied patterns tie exactly; a budget of a few floats
+    # (None: the default) spreads one enumeration over many chunks
+    if chunk_floats is not None:
+        monkeypatch.setattr(operators, "CHUNK_FLOATS", chunk_floats)
+    rng = np.random.default_rng(43)
+    for trial in range(30):
+        n = int(rng.integers(4, 9))
+        cols = rng.integers(-2, 3, size=(2, int(rng.integers(1, n))))
+        a = cols[:, rng.integers(0, cols.shape[1], size=n)].astype(float)
+        k = int(rng.integers(0, n + 1))
+        t = 0 if trial < 3 else int(rng.integers(0, n + 1))  # t = 0: empty pattern
+        u = np.zeros(n)
+        u[rng.choice(n, size=t, replace=False)] = rng.integers(1, 3, size=t)
+        y = rng.integers(-3, 4, size=2).astype(float)
+        w, x = exact_optimal_threshold(a, y, u, k)
+        assert w.tobytes() == _first_minimiser(a, y, u, k).tobytes(), (trial, k, t)
+        assert np.array_equal(x, u * w)
+
+
+def test_one_exhaustive_enumeration_in_src():
+    # the exact OP and the brute-force RIC share operators.combination_chunks:
+    # it alone calls itertools.combinations, compares with EXHAUSTIVE_LIMIT
+    # and raises ExhaustiveLimitError
+    src = Path(operators.__file__).parent
+    sites = {"combinations": [], "EXHAUSTIVE_LIMIT": [],
+             "ExhaustiveLimitError": []}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{where}.{child.name}"
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                     else where)
+            if (isinstance(child, ast.Call)
+                    and ast.unparse(child.func).split(".")[-1] == "combinations"):
+                sites["combinations"].append(inner)
+            if isinstance(child, ast.Compare) and any(
+                    isinstance(n, ast.Name) and n.id == "EXHAUSTIVE_LIMIT"
+                    for n in ast.walk(child)):
+                sites["EXHAUSTIVE_LIMIT"].append(inner)
+            if isinstance(child, ast.Raise) and child.exc is not None and any(
+                    isinstance(n, ast.Name) and n.id == "ExhaustiveLimitError"
+                    for n in ast.walk(child.exc)):
+                sites["ExhaustiveLimitError"].append(inner)
+            visit(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    helper = ["operators.combination_chunks"]
+    assert sites == {"combinations": helper, "EXHAUSTIVE_LIMIT": helper,
+                     "ExhaustiveLimitError": helper}
 
 
 def test_exact_optimal_threshold_rejects_bad_k():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pgthresh import operators
 from pgthresh import (ExhaustiveLimitError, RicTriple, brute_force_ric,
                       ceil_ratio, contraction_constants, pgot_explicit_bound,
                       pgot_root_bound, pgrot_explicit_bound, pgrot_root_bound,
@@ -148,6 +149,14 @@ def test_brute_force_ric_dominates_random_search():
         best = max(best, abs(np.linalg.norm(a @ x) ** 2 - 1.0))
     assert best <= delta + 1e-12
     assert delta - best < 0.05  # random search gets close on tiny instances
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 20])
+def test_brute_force_ric_independent_of_chunk_size(chunk_floats, monkeypatch):
+    a = np.random.default_rng(10).standard_normal((6, 9)) / np.sqrt(6)
+    default = [brute_force_ric(a, s) for s in (1, 2, 3, 9)]
+    monkeypatch.setattr(operators, "CHUNK_FLOATS", chunk_floats)
+    assert [brute_force_ric(a, s) for s in (1, 2, 3, 9)] == default
 
 
 def test_brute_force_ric_limit_guard():
