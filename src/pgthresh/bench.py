@@ -40,6 +40,8 @@ class ExperimentConfig:
     trace_iterations: int = 70
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"m={self.m} and n={self.n} must be positive")
         if not self.k_grid or not self.q_list or not self.algorithms:
             raise ValueError("k_grid, q_list and algorithms must be nonempty")
         for algo in self.algorithms:
@@ -185,8 +187,7 @@ def _run_cell(cfg: ExperimentConfig, k: int, q_token, algo: str) -> CellResult:
     for trial in range(cfg.trials):
         problem = make_trial_problem(cfg, k, q, algo, trial)
         report = solve(problem, algo, solver_cfg)
-        ok = check_recovery(report.final_x, problem.truth,
-                            solver_cfg.recovery_tolerance)
+        ok = check_recovery(report.final_x, problem.truth)
         successes += int(ok)
         # failed trials are charged the full iteration budget
         iteration_sum += report.iterations if ok else solver_cfg.max_iterations

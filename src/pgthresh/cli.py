@@ -1,7 +1,8 @@
 """Command-line surface: RIC bound tables, single solves, batch experiments.
 
 Thin adapter over the library; no numerical logic lives here.  Exit codes:
-0 success, 1 user error, 2 internal error.
+0 success, 1 user error (bad flags or input, a path that cannot be read or
+written), 2 internal error.
 """
 
 from __future__ import annotations
@@ -108,11 +109,8 @@ def cmd_solve(args) -> int:
         a = io.read_matrix(args.matrix)
         y = io.read_vector(args.y)
         truth = io.read_vector(args.truth) if args.truth else None
-    except (OSError, io.ParseError) as exc:
-        raise UsageError(str(exc)) from exc
-    n = a.shape[1]
-    q = args.q if args.q is not None else min(2 * args.k, n)
-    try:
+        n = a.shape[1]
+        q = args.q if args.q is not None else min(2 * args.k, n)
         problem = ProblemInstance(a, y, k=args.k, q=q, lam=args.lam, truth=truth)
         cfg = SolverConfig(max_iterations=args.max_iters)
         report = solve(problem, args.algo, cfg)
@@ -174,7 +172,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_bench(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a path the user named
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

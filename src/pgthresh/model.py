@@ -9,6 +9,10 @@ import numpy as np
 # Termination reasons reported by solvers.
 RECOVERY = "recovery_criterion_met"
 RESIDUAL = "residual_tolerance_met"
+# what decides them: ||x - x*|| / ||x*|| <= RECOVERY_TOLERANCE and
+# ||y - A x|| <= RESIDUAL_TOLERANCE
+RECOVERY_TOLERANCE = 1e-3
+RESIDUAL_TOLERANCE = 1e-6
 STALLED = "stalled"
 MAX_ITERATIONS = "max_iterations"
 
@@ -74,19 +78,11 @@ class ProblemInstance:
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 50
-    recovery_tolerance: float = 1e-3
-    residual_tolerance: float = 1e-6
-    rot_tolerance: float = 1e-8
-    rot_max_iterations: int = 5000
     normalize_stepsize: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.rot_max_iterations < 1:
-            raise ValueError("iteration limits must be positive")
-        for tol in (self.recovery_tolerance, self.residual_tolerance,
-                    self.rot_tolerance):
-            if tol <= 0:
-                raise ValueError("tolerances must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)

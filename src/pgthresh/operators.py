@@ -18,7 +18,6 @@ from math import comb
 import numpy as np
 
 from .linalg import gram_lambda_max
-from .model import SolverConfig
 
 
 class ExhaustiveLimitError(ValueError):
@@ -30,6 +29,10 @@ EXHAUSTIVE_LIMIT = 200_000
 
 # floats a caller's per-chunk array may hold: 2**16 floats = 512 KiB
 CHUNK_FLOATS = 2**16
+
+# solve_rot's certificate bound and iteration cap
+ROT_TOLERANCE = 1e-8
+ROT_MAX_ITERATIONS = 5000
 
 
 def combination_chunks(t: int, sizes, floats_per_pattern: int):
@@ -125,7 +128,7 @@ class RotSolution:
     converged: bool
 
 
-def solve_rot(a, y, u, k: int, cfg: SolverConfig | None = None) -> RotSolution:
+def solve_rot(a, y, u, k: int) -> RotSolution:
     """Solve min ||y - A (w * u)||^2 s.t. sum(w) = k, 0 <= w <= 1.
 
     The objective depends on w only through S = supp(u), t = |S|, so the QP
@@ -138,11 +141,10 @@ def solve_rot(a, y, u, k: int, cfg: SolverConfig | None = None) -> RotSolution:
     the gradient 2 (G w_S - B^T y), G = B^T B and B = A[:, S] diag(u[S]).
     It stops once the gradient mapping ||w_new - z|| at the extrapolated
     point z and then the fixed-point residual ||w - P(w - grad(w) / L)|| of
-    w_new are both <= cfg.rot_tolerance.  ``kkt_residual`` is always that
-    residual of the returned w_S; on iteration exhaustion the best iterate
-    is returned flagged not-converged.
+    w_new are both <= ROT_TOLERANCE.  ``kkt_residual`` is always that
+    residual of the returned w_S; after ROT_MAX_ITERATIONS iterations the
+    best iterate is returned flagged not-converged.
     """
-    cfg = cfg or SolverConfig()
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -190,14 +192,14 @@ def solve_rot(a, y, u, k: int, cfg: SolverConfig | None = None) -> RotSolution:
     prev_obj = best_obj
     z = w
     momentum = 1.0
-    for iterations in range(1, cfg.rot_max_iterations + 1):
+    for iterations in range(1, ROT_MAX_ITERATIONS + 1):
         w_new = project(z - step * gradient(z))
         obj = quadratic(w_new)
         if obj < best_obj:
             best_w, best_obj = w_new, obj
-        if np.linalg.norm(w_new - z) <= cfg.rot_tolerance:
+        if np.linalg.norm(w_new - z) <= ROT_TOLERANCE:
             kkt = residual(w_new)
-            if kkt <= cfg.rot_tolerance:
+            if kkt <= ROT_TOLERANCE:
                 return solution(w_new, iterations, kkt, True)
         if obj > prev_obj:
             # momentum overshoot: restart acceleration

@@ -13,8 +13,9 @@ import dataclasses
 import numpy as np
 
 from . import linalg
-from .model import (MAX_ITERATIONS, RECOVERY, RESIDUAL, STALLED,
-                    ProblemInstance, SolverConfig, SolverReport, TraceEntry)
+from .model import (MAX_ITERATIONS, RECOVERY, RECOVERY_TOLERANCE, RESIDUAL,
+                    RESIDUAL_TOLERANCE, STALLED, ProblemInstance,
+                    SolverConfig, SolverReport, TraceEntry)
 from .operators import (_check_k, combination_chunks, hard_threshold,
                         solve_rot, top_k_support)
 
@@ -25,17 +26,22 @@ ALGORITHM_IDS = ("pgot", "pgrot", "pgrotp", "ot", "rot", "rotp",
 _FULL_GRADIENT_ALIASES = {"ot": "pgot", "rot": "pgrot", "rotp": "pgrotp"}
 
 
-def check_recovery(x, x_star, tol: float = 1e-3) -> bool:
+def _relative_error(x: np.ndarray, x_star: np.ndarray) -> float:
+    """||x - x*|| / ||x*||, or ||x|| when x* = 0."""
+    denom = np.linalg.norm(x_star)
+    if denom == 0.0:
+        return float(np.linalg.norm(x))
+    return float(np.linalg.norm(x - x_star)) / denom
+
+
+def check_recovery(x, x_star, tol: float = RECOVERY_TOLERANCE) -> bool:
     """Relative-error recovery criterion ||x - x*|| / ||x*|| <= tol (inclusive).
 
     For x* = 0 the criterion degenerates to ||x|| <= tol.
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
-    denom = np.linalg.norm(x_star)
-    if denom == 0.0:
-        return float(np.linalg.norm(x)) <= tol
-    return float(np.linalg.norm(x - x_star)) / denom <= tol
+    return _relative_error(x, x_star) <= tol
 
 
 def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray,
@@ -104,7 +110,6 @@ def _run(problem: ProblemInstance, cfg: SolverConfig, step):
     receives the gradient g = A^T r of the iterate it moves from.
     """
     a, y, truth = problem.a, problem.y, problem.truth
-    denom = None if truth is None else np.linalg.norm(truth)
     x = np.zeros(problem.n)
     x_prev = None
     events: list[str] = []
@@ -113,15 +118,11 @@ def _run(problem: ProblemInstance, cfg: SolverConfig, step):
     while True:
         r = y - a @ x
         residual = float(np.linalg.norm(r))
-        rel = None
-        if truth is not None:
-            # check_recovery's relative error, so the test below is its test
-            rel = (float(np.linalg.norm(x - truth)) / denom
-                   if denom > 0 else float(np.linalg.norm(x)))
+        rel = None if truth is None else _relative_error(x, truth)
         trace.append(TraceEntry(p, residual, rel))
-        if rel is not None and rel <= cfg.recovery_tolerance:
+        if rel is not None and rel <= RECOVERY_TOLERANCE:
             termination = RECOVERY
-        elif residual <= cfg.residual_tolerance:
+        elif residual <= RESIDUAL_TOLERANCE:
             termination = RESIDUAL
         elif x_prev is not None and np.array_equal(x, x_prev):
             termination = STALLED
@@ -148,8 +149,8 @@ def pgot(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRep
     return _run(problem, cfg, step)
 
 
-def _rot_weights(problem, u, cfg, p, events):
-    sol = solve_rot(problem.a, problem.y, u, problem.k, cfg)
+def _rot_weights(problem, u, p, events):
+    sol = solve_rot(problem.a, problem.y, u, problem.k)
     if not sol.converged:
         events.append(
             f"rot subproblem not converged at iteration {p + 1} "
@@ -163,7 +164,7 @@ def pgrot(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRe
 
     def step(x, g, p, events):
         u = _partial_gradient_point(problem, x, g)
-        w = _rot_weights(problem, u, cfg, p, events)
+        w = _rot_weights(problem, u, p, events)
         return hard_threshold(w * u, problem.k)
 
     return _run(problem, cfg, step)
@@ -175,7 +176,7 @@ def pgrotp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverR
 
     def step(x, g, p, events):
         u = _partial_gradient_point(problem, x, g)
-        w = _rot_weights(problem, u, cfg, p, events)
+        w = _rot_weights(problem, u, p, events)
         support = top_k_support(w * u, problem.k)
         return linalg.least_squares_on_support(problem.a, problem.y, support)
 

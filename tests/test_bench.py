@@ -71,6 +71,9 @@ def test_write_csv_header_only(tmp_path):
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, n=20, k_grid=())
+    for m, n in [(0, 20), (-3, 20), (10, 0)]:
+        with pytest.raises(ValueError, match=f"m={m} and n={n} "):
+            ExperimentConfig(m=m, n=n, k_grid=(2,))
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, n=20, k_grid=(30,))
     with pytest.raises(ValueError, match="k=0 "):

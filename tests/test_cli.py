@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from pgthresh import bench, io, theory
+from pgthresh import bench, io, operators, theory
 from pgthresh.cli import _parse_grid, main
 
 
@@ -58,6 +60,48 @@ def test_solve_missing_file(tmp_path, capsys):
     code = main(["solve", "--matrix", str(tmp_path / "nope.txt"),
                  "--y", str(tmp_path / "nope2.txt"), "--k", "1"])
     assert code == 1
+
+
+def _write_planted(tmp_path):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((10, 14)) / np.sqrt(10)
+    x_star = np.zeros(14)
+    x_star[rng.choice(14, size=3, replace=False)] = rng.standard_normal(3)
+    io.write_matrix(tmp_path / "a.txt", a)
+    io.write_vector(tmp_path / "y.txt", a @ x_star)
+    return ["--matrix", str(tmp_path / "a.txt"), "--y", str(tmp_path / "y.txt"),
+            "--k", "3"]
+
+
+def test_solve_prints_rot_nonconvergence_notes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", 1)
+    files = _write_planted(tmp_path)
+    assert main(["solve", *files, "--algo", "pgrotp", "--max-iters", "2"]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("note: ")]
+    assert len(notes) == 2
+    for p, note in enumerate(notes, start=1):
+        assert re.fullmatch(
+            rf"note: rot subproblem not converged at iteration {p} "
+            r"\(kkt_residual=\d\.\d{3}e[+-]\d+\)", note)
+    assert main(["solve", *files, "--algo", "pgrotp", "--max-iters", "0"]) == 1
+    assert "max_iterations must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "bounds", "solve"])
+def test_unwritable_output_is_a_user_error(command, tmp_path, capsys):
+    missing = str(tmp_path / "no such dir" / "out.txt")
+    argv = {
+        "bench": ["bench", "--experiment", "success", "--m", "10", "--n", "20",
+                  "--k-grid", "2", "--algos", "sp", "--trials", "1",
+                  "--seed", "1", "--csv", missing],
+        "bounds": ["bounds", "--q-over-k", "2", "--csv", missing],
+        "solve": ["solve", *_write_planted(tmp_path), "--algo", "sp",
+                  "--out", missing],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no such dir" in err
 
 
 def test_solve_pgot_exhaustive_guard(tmp_path, capsys):
@@ -125,11 +169,14 @@ def test_bench_rejects_flags_the_experiment_ignores(experiment, flag, value,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k_grid, q_list, message", [
-    ("2,0", "2k", "k=0 "),
-    ("2", "2k,foo", "q token 'foo'"),
+@pytest.mark.parametrize("m, k_grid, q_list, message", [
+    pytest.param("20", "2,0", "2k", "k=0 ", id="2,0-2k-k=0 "),
+    pytest.param("20", "2", "2k,foo", "q token 'foo'",
+                 id="2-2k,foo-q token 'foo'"),
+    pytest.param("0", "2", "2k", "m=0 ", id="m=0"),
+    pytest.param("-3", "2", "2k", "m=-3 ", id="m=-3"),
 ])
-def test_bench_rejects_bad_grid_before_any_cell(k_grid, q_list, message,
+def test_bench_rejects_bad_grid_before_any_cell(m, k_grid, q_list, message,
                                                 tmp_path, capsys, monkeypatch):
     built = []
     make = bench.make_trial_problem
@@ -140,7 +187,7 @@ def test_bench_rejects_bad_grid_before_any_cell(k_grid, q_list, message,
 
     monkeypatch.setattr(bench, "make_trial_problem", recording_make)
     out = tmp_path / "s.csv"
-    code = main(["bench", "--experiment", "success", "--m", "20", "--n", "40",
+    code = main(["bench", "--experiment", "success", "--m", m, "--n", "40",
                  "--k-grid", k_grid, "--q-list", q_list, "--algos", "sp",
                  "--trials", "2", "--seed", "3", "--csv", str(out)])
     assert code == 1

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgthresh import (ExhaustiveLimitError, SolverConfig,
-                      exact_optimal_threshold, hard_threshold,
-                      project_capped_simplex, solve, solve_rot, top_k_support)
+from pgthresh import (ExhaustiveLimitError, exact_optimal_threshold,
+                      hard_threshold, project_capped_simplex, solve,
+                      solve_rot, top_k_support)
 from pgthresh import operators, solvers
 from pgthresh.bench import ExperimentConfig, make_trial_problem
 
@@ -304,15 +304,16 @@ def test_solve_rot_feasible_and_below_binary_optimum():
         assert sol.objective <= binary_obj + 1e-6
 
 
-def test_solve_rot_iteration_exhaustion_flagged():
+def test_solve_rot_iteration_exhaustion_flagged(monkeypatch):
     # at (36, 86) a restart makes the best iterate differ from the last one
+    monkeypatch.setattr(operators, "ROT_TOLERANCE", 1e-14)
     for seed, max_iterations in [(34, 2), (36, 86)]:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((20, 40))
         y = rng.standard_normal(20)
         u = rng.standard_normal(40)
-        cfg = SolverConfig(rot_max_iterations=max_iterations, rot_tolerance=1e-14)
-        sol = solve_rot(a, y, u, 5, cfg)
+        monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", max_iterations)
+        sol = solve_rot(a, y, u, 5)
         assert not sol.converged
         assert abs(sol.w.sum() - 5) <= 1e-9 * 5
         # the reported residual is the fixed-point residual of the returned w
@@ -328,14 +329,13 @@ def test_solve_rot_converges_at_bench_scale(k):
     # first outer PGROTP iteration (x0 = 0, q = 2k) on bench instances; the
     # step must respect the 2 lambda_max(B^T B) Lipschitz constant of the
     # gradient for these to converge within the iteration cap
-    cfg = SolverConfig()
     exp = ExperimentConfig(m=100, n=200, k_grid=(k,), seed=1)
     for trial in range(4):
         problem = make_trial_problem(exp, k, 2 * k, "pgrotp", trial)
         u = hard_threshold(problem.a.T @ problem.y, problem.q)
-        sol = solve_rot(problem.a, problem.y, u, k, cfg)
+        sol = solve_rot(problem.a, problem.y, u, k)
         assert sol.converged, (k, trial, sol.kkt_residual)
-        assert sol.kkt_residual <= cfg.rot_tolerance
+        assert sol.kkt_residual <= operators.ROT_TOLERANCE
 
 
 @pytest.mark.parametrize("n, k, t", [
@@ -345,16 +345,15 @@ def test_solve_rot_converges_at_bench_scale(k):
 ])
 def test_solve_rot_reduced_feasible_set(n, k, t):
     rng = np.random.default_rng(35 + t)
-    cfg = SolverConfig()
     for _ in range(10):
         a = rng.standard_normal((6, n)) / np.sqrt(6)
         y = rng.standard_normal(6)
         u = np.zeros(n)
         u[rng.choice(n, size=t, replace=False)] = rng.standard_normal(t)
-        sol = solve_rot(a, y, u, k, cfg)
+        sol = solve_rot(a, y, u, k)
         assert abs(sol.w.sum() - k) <= 1e-9 * k
         assert np.all(sol.w >= 0) and np.all(sol.w <= 1)
-        assert sol.converged and sol.kkt_residual <= cfg.rot_tolerance
+        assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
         _, x = exact_optimal_threshold(a, y, u, k)
         binary_obj = float(np.linalg.norm(y - a @ x) ** 2)
         assert sol.objective <= binary_obj + 1e-6

@@ -7,6 +7,7 @@ from pgthresh import (ALGORITHM_IDS, MAX_ITERATIONS, RECOVERY, RESIDUAL,
                       ProblemInstance, SolverConfig, check_recovery,
                       hard_threshold, least_squares_on_support, residual_norm,
                       solve, solve_rot, top_k_support)
+from pgthresh import operators, solvers
 from pgthresh.solvers import _partial_gradient_point
 
 
@@ -102,12 +103,13 @@ def test_iht_desk_recovery():
     assert hits >= 6
 
 
-def test_iht_normalized_step_is_exact_inverse_lipschitz():
+def test_iht_normalized_step_is_exact_inverse_lipschitz(monkeypatch):
     # A = 3 I: lam = 1 / ||A||_2^2 = 1/9 maps y = 3 x* to x* in one step,
     # which an estimated or padded ||A||_2^2 misses by more than the tolerance
+    monkeypatch.setattr(solvers, "RECOVERY_TOLERANCE", 1e-12)
     x_star = np.array([0.0, 2.0, 0.0, -1.0, 0.0, 0.0])
     problem = ProblemInstance(3 * np.eye(6), 3 * x_star, k=2, q=2, truth=x_star)
-    cfg = SolverConfig(normalize_stepsize=True, recovery_tolerance=1e-12)
+    cfg = SolverConfig(normalize_stepsize=True)
     report = solve(problem, "iht", cfg)
     assert report.termination == RECOVERY and report.iterations == 1
     zero = ProblemInstance(np.zeros((3, 5)), np.ones(3), k=2, q=2)
@@ -173,10 +175,11 @@ def test_recovery_reported_only_when_criterion_passes(algo):
 
 
 @pytest.mark.parametrize("algo", ["pgrot", "pgrotp", "rotp"])
-def test_rot_nonconvergence_reported_per_iteration(algo):
+def test_rot_nonconvergence_reported_per_iteration(algo, monkeypatch):
     problem = _planted(10, 14, 3, 6, seed=7)
-    report = solve(problem, algo,
-                   SolverConfig(rot_max_iterations=1, max_iterations=2))
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "ROT_MAX_ITERATIONS", 1)
+        report = solve(problem, algo, SolverConfig(max_iterations=2))
     assert len(report.events) == 2
     for p, event in enumerate(report.events, start=1):
         assert re.fullmatch(
