@@ -8,6 +8,7 @@ written), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -146,6 +147,12 @@ def cmd_bench(args) -> int:
             algorithms=algos, sigma=args.sigma, seed=args.seed,
             scaling=args.scaling, threads=args.threads,
             **{key: value for key, value in given.items() if value is not None})
+        # fail on an unwritable --csv before the first cell, not after the
+        # last; appending changes no file, and one the open created goes
+        existed = os.path.exists(args.csv)
+        open(args.csv, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(args.csv)
         if args.experiment == "trace":
             rows = bench.objective_trace_experiment(cfg)
             bench.write_csv(rows, args.csv, bench.TRACE_HEADER)

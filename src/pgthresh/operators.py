@@ -1,12 +1,12 @@
-"""Thresholding operators and the relaxed optimal-thresholding QP.
+"""Thresholding operators and both optimal k-thresholding subproblems.
 
 Contains the hard-thresholding operator, Euclidean projection onto the
-capped simplex {w : sum w = k, 0 <= w <= 1}, and the accelerated
-projected-gradient solver for the convex relaxation of optimal thresholding,
-run on the |supp u| weights the objective depends on and lifted back to n.
-``combination_chunks`` is the one exhaustive enumeration, in bounded chunks
-under ``EXHAUSTIVE_LIMIT``, of the exact binary subproblem
-(``solvers.optimal_threshold_on_support``) and of ``theory.brute_force_ric``.
+capped simplex {w : sum w = k, 0 <= w <= 1}, and the two subproblems of a
+PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
+supp(u): the exact binary one (``optimal_threshold_on_support``) and its
+convex relaxation (``solve_rot``).  ``combination_chunks`` is the one
+exhaustive enumeration, in bounded chunks under ``EXHAUSTIVE_LIMIT``, of the
+exact subproblem and of ``theory.brute_force_ric``.
 """
 
 from __future__ import annotations
@@ -117,6 +117,51 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
     return (v - theta).clip(0.0, 1.0)
 
 
+def _restrict(a, y, u, k: int):
+    """(y, u, S, lo, hi, B_S): ||y - A (u * w)||^2 = ||y - B_S w_S||^2 with
+    S = supp(u), t = |S|, B_S = A[:, S] diag(u_S), and a w summing to k puts
+    between lo = max(0, k - (n - t)) and hi = min(k, t) of it on S."""
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    _check_k(k, n)
+    supp = np.flatnonzero(u)
+    t = supp.size
+    b = np.asarray(a, dtype=float)[:, supp] * u[supp]
+    return y, u, supp, max(0, k - (n - t)), min(k, t), b
+
+
+def optimal_threshold_on_support(a, y, u, k: int):
+    """Binary optimal k-thresholding: min ||y - A (u * w)||_2^2 over w in
+    {0,1}^n with exactly k ones.
+
+    Every support of size lo..hi inside supp(u) (see ``_restrict``) is
+    enumerated in lexicographic order, keeping the first minimiser, and the
+    k ones are completed with the lowest-index zeros of u, so the result is
+    a global minimiser of the full binary problem.  Returns (w, x) with
+    x = u * w.  Raises ExhaustiveLimitError beyond EXHAUSTIVE_LIMIT patterns.
+    """
+    y, u, supp, lo, hi, b = _restrict(a, y, u, k)
+    n = u.size
+    best_obj = np.inf
+    best = np.zeros(0, dtype=int)
+    # b[:, block] holds m * hi floats per pattern
+    for block in combination_chunks(supp.size, range(lo, hi + 1), y.size * hi):
+        r = y[:, None] - b[:, block].sum(axis=2)
+        obj = np.einsum("ij,ij->j", r, r)
+        i = int(np.argmin(obj))
+        if obj[i] < best_obj:  # strict: an earlier chunk keeps a tie
+            best_obj = obj[i]
+            best = block[i]
+    chosen = supp[best]
+    w = np.zeros(n)
+    w[chosen] = 1.0
+    if chosen.size < k:
+        zeros = np.setdiff1d(np.arange(n), supp)
+        w[zeros[: k - chosen.size]] = 1.0
+    return w, u * w
+
+
 @dataclass
 class RotSolution:
     """Result of the relaxed optimal-thresholding quadratic program."""
@@ -131,9 +176,8 @@ class RotSolution:
 def solve_rot(a, y, u, k: int) -> RotSolution:
     """Solve min ||y - A (w * u)||^2 s.t. sum(w) = k, 0 <= w <= 1.
 
-    The objective depends on w only through S = supp(u), t = |S|, so the QP
-    is solved over w_S in the box [0, 1]^t with lo <= sum(w_S) <= hi, where
-    lo = max(0, k - (n - t)) and hi = min(k, t); the returned w is lifted
+    The QP is solved on S = supp(u), t = |S| (see ``_restrict``): over w_S
+    in the box [0, 1]^t with lo <= sum(w_S) <= hi; the returned w is lifted
     back by giving each entry off S the value (k - sum(w_S)) / (n - t).
 
     Accelerated projected gradient with constant step 1/L and function-value
@@ -145,16 +189,8 @@ def solve_rot(a, y, u, k: int) -> RotSolution:
     residual of the returned w_S; after ROT_MAX_ITERATIONS iterations the
     best iterate is returned flagged not-converged.
     """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    _check_k(k, n)
-
-    supp = np.flatnonzero(u)
-    t = supp.size
-    lo, hi = max(0, k - (n - t)), min(k, t)
-    b_sub = a[:, supp] * u[supp]
+    y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
+    n, t = u.size, supp.size
     gram, corr = b_sub.T @ b_sub, b_sub.T @ y
 
     def project(v: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Partial-gradient optimal-thresholding solvers and greedy baselines.
 
-Implements PGOT (exhaustive binary thresholding), PGROT (convex relaxation),
-PGROTP (relaxation plus pursuit step) and the IHT / OMP / SP baselines, all
-behind a shared iteration/stopping harness.  The q = n reductions OT, ROT and
-ROTP are the same algorithms with the partial-gradient width forced to n.
+``solve(problem, algorithm_id)`` is the one way to run an algorithm.  Each
+method is a step ``x -> x_next``, built per problem and run by one shared
+iteration/stopping loop: PGOT (the exact binary subproblem), PGROT (its
+convex relaxation), PGROTP (relaxation plus pursuit step) and the IHT / OMP
+/ SP baselines.  The two subproblems live in ``operators``.  The q = n
+reductions OT, ROT and ROTP are the same algorithms with the
+partial-gradient width forced to n.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from . import linalg
 from .model import (MAX_ITERATIONS, RECOVERY, RECOVERY_TOLERANCE, RESIDUAL,
                     RESIDUAL_TOLERANCE, STALLED, ProblemInstance,
                     SolverConfig, SolverReport, TraceEntry)
-from .operators import (_check_k, combination_chunks, hard_threshold,
+from .operators import (hard_threshold, optimal_threshold_on_support,
                         solve_rot, top_k_support)
 
 ALGORITHM_IDS = ("pgot", "pgrot", "pgrotp", "ot", "rot", "rotp",
@@ -50,60 +53,17 @@ def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray,
     return x + problem.lam * hard_threshold(g, problem.q)
 
 
-def optimal_threshold_on_support(a, y, u, k: int):
-    """Binary optimal k-thresholding: min ||y - A (u * w)||_2^2 over w in
-    {0,1}^n with exactly k ones.
-
-    Since the objective depends on w only where u is nonzero, enumeration is
-    restricted to supports inside supp(u); the exactly-k-ones pattern is
-    recovered by padding with lowest-index zero positions of u.  All support
-    sizes compatible with a k-ones pattern are enumerated, in lexicographic
-    order keeping the first minimizer, so the result is a global minimizer
-    of the full binary problem.  Returns (w, x) with x = u * w.  Raises
-    ExhaustiveLimitError beyond EXHAUSTIVE_LIMIT patterns.
-    """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    _check_k(k, n)
-    supp = np.flatnonzero(u)
-    t = supp.size
-    j_max = min(k, t)
-    j_min = max(0, k - (n - t))
-    b = a[:, supp] * u[supp]
-    best_obj = np.inf
-    best = np.zeros(0, dtype=int)
-    # b[:, block] holds m * j floats per pattern
-    for block in combination_chunks(t, range(j_min, j_max + 1),
-                                    y.size * j_max):
-        r = y[:, None] - b[:, block].sum(axis=2)
-        obj = np.einsum("ij,ij->j", r, r)
-        i = int(np.argmin(obj))
-        if obj[i] < best_obj:  # strict: an earlier chunk keeps a tie
-            best_obj = obj[i]
-            best = block[i]
-    chosen = supp[best]
-    w = np.zeros(n)
-    w[chosen] = 1.0
-    if chosen.size < k:
-        zeros = np.setdiff1d(np.arange(n), supp)
-        w[zeros[: k - chosen.size]] = 1.0
-    return w, u * w
-
-
-def pgot_step(a, y, x, k: int, q: int, lam: float = 1.0) -> np.ndarray:
+def pgot_step(a, y, x, k: int, q: int) -> np.ndarray:
     """One exact PGOT iteration from x (used by the theory verifier too)."""
-    problem = ProblemInstance(a, y, k=k, q=q, lam=lam)
+    problem = ProblemInstance(a, y, k=k, q=q)
     x = np.asarray(x, dtype=float)
     g = problem.a.T @ (problem.y - problem.a @ x)
-    u = _partial_gradient_point(problem, x, g)
-    _, x_next = optimal_threshold_on_support(a, y, u, k)
-    return x_next
+    return _pgot(problem, SolverConfig())(x, g, 0, [])
 
 
-def _run(problem: ProblemInstance, cfg: SolverConfig, step):
-    """Shared iteration loop: x0 = 0, stopping by recovery / residual / stall.
+def _run(problem: ProblemInstance, budget: int, step):
+    """Shared iteration loop: x0 = 0, stopping by recovery / residual / stall
+    or after ``budget`` steps.
 
     The only place the loop forms the residual r = y - A x: ||r|| is the
     trace objective and the residual stop, and ``step(x, g, p, events)``
@@ -126,7 +86,7 @@ def _run(problem: ProblemInstance, cfg: SolverConfig, step):
             termination = RESIDUAL
         elif x_prev is not None and np.array_equal(x, x_prev):
             termination = STALLED
-        elif p >= cfg.max_iterations:
+        elif p >= budget:
             termination = MAX_ITERATIONS
         else:
             x_prev, x = x, step(x, a.T @ r, p, events)
@@ -136,56 +96,50 @@ def _run(problem: ProblemInstance, cfg: SolverConfig, step):
                             termination=termination, events=events)
 
 
-def pgot(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverReport:
-    """Partial-gradient optimal k-thresholding with exhaustive subproblem."""
-    cfg = cfg or SolverConfig()
+# Each builder returns its method's step(x, g, p, events) for one problem.
 
+def _pgot(problem, cfg):
+    """Partial-gradient optimal k-thresholding with exhaustive subproblem."""
     def step(x, g, p, events):
         u = _partial_gradient_point(problem, x, g)
         _, x_next = optimal_threshold_on_support(problem.a, problem.y, u,
                                                  problem.k)
         return x_next
 
-    return _run(problem, cfg, step)
+    return step
 
 
-def _rot_weights(problem, u, p, events):
+def _relaxed_point(problem, x, g, p, events):
+    """w * u, with w the relaxed subproblem's weights at the point u."""
+    u = _partial_gradient_point(problem, x, g)
     sol = solve_rot(problem.a, problem.y, u, problem.k)
     if not sol.converged:
-        events.append(
-            f"rot subproblem not converged at iteration {p + 1} "
-            f"(kkt_residual={sol.kkt_residual:.3e})")
-    return sol.w
+        events.append(f"rot subproblem not converged at iteration {p + 1} "
+                      f"(kkt_residual={sol.kkt_residual:.3e})")
+    return sol.w * u
 
 
-def pgrot(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverReport:
+def _pgrot(problem, cfg):
     """Relaxed partial-gradient optimal k-thresholding."""
-    cfg = cfg or SolverConfig()
-
     def step(x, g, p, events):
-        u = _partial_gradient_point(problem, x, g)
-        w = _rot_weights(problem, u, p, events)
-        return hard_threshold(w * u, problem.k)
+        return hard_threshold(_relaxed_point(problem, x, g, p, events),
+                              problem.k)
 
-    return _run(problem, cfg, step)
+    return step
 
 
-def pgrotp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverReport:
+def _pgrotp(problem, cfg):
     """Relaxed partial-gradient optimal k-thresholding with pursuit step."""
-    cfg = cfg or SolverConfig()
-
     def step(x, g, p, events):
-        u = _partial_gradient_point(problem, x, g)
-        w = _rot_weights(problem, u, p, events)
-        support = top_k_support(w * u, problem.k)
+        v = _relaxed_point(problem, x, g, p, events)
+        support = top_k_support(v, problem.k)
         return linalg.least_squares_on_support(problem.a, problem.y, support)
 
-    return _run(problem, cfg, step)
+    return step
 
 
-def iht(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverReport:
+def _iht(problem, cfg):
     """Iterative hard thresholding x <- H_k(x + lam A^T (y - A x))."""
-    cfg = cfg or SolverConfig()
     lam = problem.lam
     if cfg.normalize_stepsize:
         lmax = linalg.gram_lambda_max(problem.a)
@@ -194,12 +148,11 @@ def iht(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepo
     def step(x, g, p, events):
         return hard_threshold(x + lam * g, problem.k)
 
-    return _run(problem, cfg, step)
+    return step
 
 
-def omp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverReport:
-    """Orthogonal matching pursuit, run for (at most) k greedy iterations."""
-    cfg = cfg or SolverConfig()
+def _omp(problem, cfg):
+    """Orthogonal matching pursuit: one greedy column per step."""
     support: list[int] = []
 
     def step(x, g, p, events):
@@ -208,30 +161,31 @@ def omp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverRepo
         support.append(int(np.argmax(corr)))  # argmax breaks ties at lowest index
         return linalg.least_squares_on_support(problem.a, problem.y, support)
 
-    budget = dataclasses.replace(cfg, max_iterations=problem.k)
-    return _run(problem, budget, step)
+    return step
 
 
-def sp(problem: ProblemInstance, cfg: SolverConfig | None = None) -> SolverReport:
+def _sp(problem, cfg):
     """Subspace pursuit: merge top-k correlations, fit, prune to k, re-fit."""
-    cfg = cfg or SolverConfig()
-
     def step(x, g, p, events):
         merged = np.union1d(np.flatnonzero(x), top_k_support(g, problem.k))
         z = linalg.least_squares_on_support(problem.a, problem.y, merged)
         pruned = top_k_support(z, problem.k)
         return linalg.least_squares_on_support(problem.a, problem.y, pruned)
 
-    return _run(problem, cfg, step)
+    return step
 
 
-_SOLVERS = {"pgot": pgot, "pgrot": pgrot, "pgrotp": pgrotp,
-            "iht": iht, "omp": omp, "sp": sp}
+_STEPS = {"pgot": _pgot, "pgrot": _pgrot, "pgrotp": _pgrotp,
+          "iht": _iht, "omp": _omp, "sp": _sp}
 
 
 def solve(problem: ProblemInstance, algorithm: str,
           cfg: SolverConfig | None = None) -> SolverReport:
-    """Dispatch by algorithm id; ot/rot/rotp force q = n before solving."""
+    """Run the algorithm with this id on problem; the entry point of every id.
+
+    ot/rot/rotp force q = n and run pgot/pgrot/pgrotp.  A solve takes at
+    most cfg.max_iterations steps, except omp, which takes at most k.
+    """
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
@@ -239,4 +193,6 @@ def solve(problem: ProblemInstance, algorithm: str,
     if algorithm in _FULL_GRADIENT_ALIASES:
         problem = dataclasses.replace(problem, q=problem.n)
         algorithm = _FULL_GRADIENT_ALIASES[algorithm]
-    return _SOLVERS[algorithm](problem, cfg)
+    cfg = cfg or SolverConfig()
+    budget = problem.k if algorithm == "omp" else cfg.max_iterations
+    return _run(problem, budget, _STEPS[algorithm](problem, cfg))

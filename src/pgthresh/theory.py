@@ -20,6 +20,7 @@ from .solvers import pgot_step
 _GOLDEN = (sqrt(5.0) + 1.0) / 2.0
 
 Q_REGIMES = ("q=2k", "2k<q<=3k", "3k<q<=4k")
+ROOT_TOLERANCE = 1e-10  # _bisect_root stops once its bracket is this narrow
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,10 @@ def _require_q_2k(q: int, k: int) -> int:
     return t
 
 
-def _bisect_root(cubic, tol: float = 1e-10) -> float:
+def _bisect_root(cubic) -> float:
     # cubic is strictly increasing on (0, 1] with cubic(0) < 0 < cubic(1)
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if cubic(mid) < 0.0:
             lo = mid

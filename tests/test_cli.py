@@ -89,7 +89,12 @@ def test_solve_prints_rot_nonconvergence_notes(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["bench", "bounds", "solve"])
-def test_unwritable_output_is_a_user_error(command, tmp_path, capsys):
+def test_unwritable_output_is_a_user_error(command, tmp_path, capsys,
+                                           monkeypatch):
+    # bench checks --csv before its first cell, so no instance is built
+    built = []
+    monkeypatch.setattr(bench, "make_trial_problem",
+                        lambda *args: built.append(args))
     missing = str(tmp_path / "no such dir" / "out.txt")
     argv = {
         "bench": ["bench", "--experiment", "success", "--m", "10", "--n", "20",
@@ -102,6 +107,26 @@ def test_unwritable_output_is_a_user_error(command, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no such dir" in err
+    assert built == []
+    assert not (tmp_path / "no such dir").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_bench_failing_after_the_csv_check_leaves_no_new_file(existing,
+                                                              tmp_path, capsys):
+    # the first pgot subproblem exceeds the exhaustive limit, after the
+    # --csv check: a file the check created is gone, an existing one intact
+    out = tmp_path / "s.csv"
+    if existing:
+        out.write_text("kept\n")
+    code = main(["bench", "--experiment", "success", "--m", "30", "--n", "80",
+                 "--k-grid", "20", "--q-list", "60", "--algos", "pgot",
+                 "--trials", "1", "--seed", "1", "--csv", str(out)])
+    assert code == 1
+    assert "too large" in capsys.readouterr().err
+    assert out.exists() == existing
+    if existing:
+        assert out.read_text() == "kept\n"
 
 
 def test_solve_pgot_exhaustive_guard(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from pgthresh import (ALGORITHM_IDS, MAX_ITERATIONS, RECOVERY, RESIDUAL,
                       ProblemInstance, SolverConfig, check_recovery,
-                      hard_threshold, least_squares_on_support, residual_norm,
-                      solve, solve_rot, top_k_support)
+                      hard_threshold, least_squares_on_support, pgot_step,
+                      residual_norm, solve, solve_rot, top_k_support)
 from pgthresh import operators, solvers
 from pgthresh.solvers import _partial_gradient_point
 
@@ -114,6 +115,30 @@ def test_iht_normalized_step_is_exact_inverse_lipschitz(monkeypatch):
     assert report.termination == RECOVERY and report.iterations == 1
     zero = ProblemInstance(np.zeros((3, 5)), np.ones(3), k=2, q=2)
     assert np.all(solve(zero, "iht", cfg).final_x == 0)
+
+
+@pytest.mark.parametrize("max_iterations", [1, 4, 5, 6, 50])
+def test_omp_runs_k_steps_whatever_max_iterations(max_iterations):
+    # noisy and without truth: neither the recovery nor the residual stop
+    # fires and every step adds a column, so only the budget ends the solve
+    problem = dataclasses.replace(_planted(20, 40, 5, 10, seed=4, sigma=0.1),
+                                  truth=None)
+    report = solve(problem, "omp", SolverConfig(max_iterations=max_iterations))
+    assert report.termination == MAX_ITERATIONS
+    assert report.iterations == problem.k
+    assert np.count_nonzero(report.final_x) == problem.k
+
+
+def test_pgot_step_is_one_pgot_iteration():
+    # pgot_step and solve(..., "pgot") take the same step
+    problem = dataclasses.replace(_planted(8, 12, 2, 4, seed=3, sigma=0.1),
+                                  truth=None)
+    x = np.zeros(problem.n)
+    for p in range(1, 4):
+        x = pgot_step(problem.a, problem.y, x, problem.k, problem.q)
+        report = solve(problem, "pgot", SolverConfig(max_iterations=p))
+        assert report.iterations == p
+        assert x.tobytes() == report.final_x.tobytes()
 
 
 def test_omp_desk_recovery():
