@@ -4,9 +4,12 @@ Contains the hard-thresholding operator, Euclidean projection onto the
 capped simplex {w : sum w = k, 0 <= w <= 1}, and the two subproblems of a
 PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
 supp(u): the exact binary one (``optimal_threshold_on_support``) and its
-convex relaxation (``solve_rot``).  ``combination_chunks`` is the one
-exhaustive enumeration, in bounded chunks under ``EXHAUSTIVE_LIMIT``, of the
-exact subproblem and of ``theory.brute_force_ric``.
+convex relaxation (``solve_rot``), a box-and-sum constrained least-squares
+QP solved exactly by a primal active-set method.  Its only projection is
+the fixed-point certificate of the returned weights.
+``combination_chunks`` is the one exhaustive enumeration, in bounded chunks
+under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
+``theory.brute_force_ric``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ EXHAUSTIVE_LIMIT = 200_000
 # floats a caller's per-chunk array may hold: 2**16 floats = 512 KiB
 CHUNK_FLOATS = 2**16
 
-# solve_rot's certificate bound and iteration cap
+# solve_rot's certificate bound and active-set step cap
 ROT_TOLERANCE = 1e-8
 ROT_MAX_ITERATIONS = 5000
 
@@ -176,75 +179,164 @@ class RotSolution:
 def solve_rot(a, y, u, k: int) -> RotSolution:
     """Solve min ||y - A (w * u)||^2 s.t. sum(w) = k, 0 <= w <= 1.
 
-    The QP is solved on S = supp(u), t = |S| (see ``_restrict``): over w_S
-    in the box [0, 1]^t with lo <= sum(w_S) <= hi; the returned w is lifted
-    back by giving each entry off S the value (k - sum(w_S)) / (n - t).
+    The QP is solved on S = supp(u), t = |S| (see ``_restrict``): minimise
+    f(w_S) = ||y - B w_S||^2, B = A[:, S] diag(u[S]), over the box [0, 1]^t
+    with lo <= sum(w_S) <= hi; the returned w is lifted back by giving each
+    entry off S the value (k - sum(w_S)) / (n - t), clipped to [0, 1].
 
-    Accelerated projected gradient with constant step 1/L and function-value
-    restarts, where L = 2 lambda_max(G) is the exact Lipschitz constant of
-    the gradient 2 (G w_S - B^T y), G = B^T B and B = A[:, S] diag(u[S]).
-    It stops once the gradient mapping ||w_new - z|| at the extrapolated
-    point z and then the fixed-point residual ||w - P(w - grad(w) / L)|| of
-    w_new are both <= ROT_TOLERANCE.  ``kkt_residual`` is always that
-    residual of the returned w_S; after ROT_MAX_ITERATIONS iterations the
-    best iterate is returned flagged not-converged.
+    Primal active-set method (Nocedal & Wright, Numerical Optimization,
+    2nd ed., Alg. 16.3) from w_S = k / n.  The working set holds bounds
+    w_i = 0 or 1 and, when active, the sum constraint (always, if lo = hi).
+    Each step minimises f over the free weights F with the working set
+    fixed: a least-squares step in the columns B_F Z, where Z = I or, with
+    the sum in the working set, Z = [I; -1^T] keeps the sum.  The step is
+    cut at the first blocking constraint, which joins the working set.  If
+    a column of B_F Z lies within 1e-6 ||B||_2 of the span of the columns
+    before it (a Cholesky pivot of the reduced Hessian), or B_F Z has more
+    columns than rows, the Hessian is singular: the right singular vectors
+    of B_F Z whose singular values are at most that bound are directions of
+    zero curvature.  Each step then follows one of them, signed to descend,
+    to the next bound, and the rest are combined to keep the constraint
+    that joined, one direction fewer; so one SVD serves until none is left.
+    At the minimiser on the working set the constraint with the most
+    negative multiplier leaves it; the method stops once none is below
+    -L ROT_TOLERANCE / (4 sqrt(t)).  Ties go to the lowest index, the sum
+    constraint after every bound.
+
+    ``iterations`` counts steps, at most ROT_MAX_ITERATIONS.  ``kkt_residual``
+    is the fixed-point residual ||w_S - P(w_S - grad f(w_S) / L)|| of the
+    returned w_S, with P the projection onto the feasible set and
+    L = 2 lambda_max(B^T B); ``converged`` is true only if the method
+    stopped before the cap and that residual is <= ROT_TOLERANCE.
     """
     y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
     n, t = u.size, supp.size
-    gram, corr = b_sub.T @ b_sub, b_sub.T @ y
 
-    def project(v: np.ndarray) -> np.ndarray:
-        w = v.clip(0.0, 1.0)
-        total = w.sum()
-        if total > hi:
-            return project_capped_simplex(v, hi)
-        if total < lo:
-            return project_capped_simplex(v, lo)
-        return w
-
-    def solution(w_s: np.ndarray, iterations: int, kkt: float,
+    def solution(w_s: np.ndarray, steps: int, kkt: float,
                  converged: bool) -> RotSolution:
-        w = np.full(n, (k - w_s.sum()) / max(n - t, 1))
+        # a sum held at lo or hi is exact only to rounding: clip the share
+        w = np.full(n, np.clip((k - w_s.sum()) / max(n - t, 1), 0.0, 1.0))
         w[supp] = w_s
         r = y - b_sub @ w_s
-        return RotSolution(w, float(r @ r), iterations, kkt, converged)
+        return RotSolution(w, float(r @ r), steps, kkt, converged)
 
     w = np.full(t, k / n)  # the restriction of the uniform feasible point
     lipschitz = 2.0 * gram_lambda_max(b_sub)
-    if lipschitz <= 0.0:  # B = 0 (or empty): every feasible w is optimal
+    if lipschitz <= 0.0 or hi == 0 or lo == t:
+        # B = 0 (or empty): every feasible w is optimal; hi = 0 or lo = t:
+        # w is the only feasible point
         return solution(w, 0, 0.0, True)
-    step = 1.0 / lipschitz
+    # a free column closer than rank_tol to the span of the free columns
+    # before it counts as dependent; the Cholesky pivots of their Gram matrix
+    # resolve that distance only down to about sqrt(eps) ||B||_2
+    rank_tol = 1e-6 * np.sqrt(0.5 * lipschitz)
+    # multipliers above -slack keep the certificate <= ROT_TOLERANCE / 2: the
+    # gradient moves by at most 2 sqrt(t) slack to make w an exact KKT point,
+    # and P is nonexpansive
+    slack = lipschitz * ROT_TOLERANCE / (4.0 * np.sqrt(t))
 
-    def gradient(w_s: np.ndarray) -> np.ndarray:
-        return 2.0 * (gram @ w_s - corr)
-
-    def residual(w_s: np.ndarray) -> float:
-        return float(np.linalg.norm(w_s - project(w_s - step * gradient(w_s))))
-
-    def quadratic(w_s: np.ndarray) -> float:  # ||y - B w_s||^2 - ||y||^2
-        return float(w_s @ (gram @ w_s - 2.0 * corr))
-
-    best_w, best_obj = w, quadratic(w)
-    prev_obj = best_obj
-    z = w
-    momentum = 1.0
-    for iterations in range(1, ROT_MAX_ITERATIONS + 1):
-        w_new = project(z - step * gradient(z))
-        obj = quadratic(w_new)
-        if obj < best_obj:
-            best_w, best_obj = w_new, obj
-        if np.linalg.norm(w_new - z) <= ROT_TOLERANCE:
-            kkt = residual(w_new)
-            if kkt <= ROT_TOLERANCE:
-                return solution(w_new, iterations, kkt, True)
-        if obj > prev_obj:
-            # momentum overshoot: restart acceleration
-            momentum = 1.0
-            z = w_new
+    bound = np.zeros(t, dtype=int)  # -1: w_i = 0 and +1: w_i = 1 are working
+    side = 1 if lo == hi else 0  # the sum is working at hi (+1) or lo (-1)
+    # columns: zero-curvature directions p (B p ~ 0) that keep the working
+    # set; only the rows of free weights are read
+    null = np.zeros((t, 0))
+    # regular: the last step was a Newton step cut short by a bound on a
+    # weight other than the last free one (which pays for s when the sum is
+    # working), so the reduced Hessian lost a column and kept the rest
+    steps, at_minimum, regular = 0, False, False
+    while True:
+        free = np.flatnonzero(bound == 0)
+        r = y - b_sub @ w
+        if at_minimum:  # w minimises f on the working set
+            grad = -2.0 * (b_sub.T @ r)
+            sigma = -grad[free].mean() if side else 0.0
+            mult = np.where(bound != 0, -bound * (grad + sigma), np.inf)
+            mult = np.append(mult, side * sigma if side and lo < hi else np.inf)
+            i = int(np.argmin(mult))
+            if mult[i] >= -slack:
+                break
+            if i == t:
+                side = 0
+            else:
+                bound[i] = 0
+            at_minimum = regular = False
+            continue
+        cols = b_sub[:, free]
+        if side:  # p_F = Z s keeps the sum: the last free weight pays for s
+            cols = cols[:, :-1] - cols[:, -1:]
+        d = cols.shape[1]
+        if d == 0:
+            at_minimum = True
+            continue
+        if steps == ROT_MAX_ITERATIONS:
+            break
+        steps += 1
+        if not null.shape[1]:  # is the reduced Hessian singular?
+            hess = cols.T @ cols
+            # pivot j of its Cholesky factor is the distance of column j to
+            # the span of those before, so losing a column lowers no pivot
+            singular = False
+            if not regular:
+                try:  # more columns than rows are dependent
+                    singular = (d > y.size or np.linalg.cholesky(hess)
+                                .diagonal().min() <= rank_tol)
+                except np.linalg.LinAlgError:
+                    singular = True
+            if singular:
+                # right singular vectors of singular values <= rank_tol; a
+                # pivot <= rank_tol bounds the least singular value by
+                # rank_tol up to rounding, so keep at least that one
+                sv, vt = np.linalg.svd(cols)[1:]
+                basis = vt[min(np.count_nonzero(sv > rank_tol), d - 1):].T
+                null = np.zeros((t, basis.shape[1]))
+                null[free] = (np.vstack([basis, -basis.sum(axis=0)]) if side
+                              else basis)
+        newton = not null.shape[1]
+        if newton:
+            # the Cholesky factor only tests: numpy has no triangular solve,
+            # and two general solves with it are slower than one with hess
+            s = np.linalg.solve(hess, cols.T @ r)
+            p = np.append(s, -s.sum()) if side else s
+        else:  # f is linear along p: grad . p = -2 r . (B p)
+            p = null[free, 0]
+            if r @ (b_sub[:, free] @ p) < 0.0:
+                p = -p
+        w_f = w[free]
+        ratio = np.full(free.size + 1, np.inf)  # the sum constraint last
+        down, up = p < 0.0, p > 0.0
+        ratio[:-1][down] = w_f[down] / -p[down]
+        ratio[:-1][up] = (1.0 - w_f[up]) / p[up]
+        total, change = w.sum(), p.sum()
+        if not side and change != 0.0:
+            ratio[-1] = ((hi - total) / change if change > 0.0
+                         else (total - lo) / -change)
+        ratio = ratio.clip(0.0)
+        i = int(np.argmin(ratio))
+        if newton and ratio[i] >= 1.0:
+            w[free] = w_f + p
+            at_minimum = True
+            continue
+        w[free] = w_f + ratio[i] * p
+        regular = newton and i < free.size - (side != 0)
+        if i == free.size:
+            side = 1 if change > 0.0 else -1
+            row = null[free].sum(axis=0)
         else:
-            m_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-            z = w_new + ((momentum - 1.0) / m_new) * (w_new - w)
-            momentum = m_new
-        w = w_new
-        prev_obj = obj
-    return solution(best_w, iterations, residual(best_w), False)
+            bound[free[i]] = 1 if p[i] > 0.0 else -1
+            w[free[i]] = 1.0 if p[i] > 0.0 else 0.0
+            row = null[free[i]]
+        if null.shape[1]:
+            # the directions that keep the new constraint too: eliminate its
+            # row with the largest entry as pivot, one direction fewer
+            j = int(np.argmax(np.abs(row)))
+            null = np.delete(null - np.outer(null[:, j], row / row[j]), j, axis=1)
+
+    grad = -2.0 * (b_sub.T @ (y - b_sub @ w))
+    v = w - grad / lipschitz
+    proj = v.clip(0.0, 1.0)
+    if proj.sum() > hi:
+        proj = project_capped_simplex(v, hi)
+    elif proj.sum() < lo:
+        proj = project_capped_simplex(v, lo)
+    kkt = float(np.linalg.norm(w - proj))
+    return solution(w, steps, kkt, at_minimum and kkt <= ROT_TOLERANCE)

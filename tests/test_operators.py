@@ -304,24 +304,31 @@ def test_solve_rot_feasible_and_below_binary_optimum():
         assert sol.objective <= binary_obj + 1e-6
 
 
+def _fixed_point_residual(a, y, u, sol, k):
+    b = a * u
+    step = 1.0 / (2.0 * np.linalg.norm(b, 2) ** 2)
+    grad = 2.0 * b.T @ (b @ sol.w - y)
+    return np.linalg.norm(sol.w - project_capped_simplex(sol.w - step * grad, k))
+
+
 def test_solve_rot_iteration_exhaustion_flagged(monkeypatch):
-    # at (36, 86) a restart makes the best iterate differ from the last one
-    monkeypatch.setattr(operators, "ROT_TOLERANCE", 1e-14)
-    for seed, max_iterations in [(34, 2), (36, 86)]:
+    # caps below the kernel's own step count: one step, and one step short
+    for seed in (34, 36):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((20, 40))
         y = rng.standard_normal(20)
         u = rng.standard_normal(40)
-        monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", max_iterations)
-        sol = solve_rot(a, y, u, 5)
-        assert not sol.converged
-        assert abs(sol.w.sum() - 5) <= 1e-9 * 5
-        # the reported residual is the fixed-point residual of the returned w
-        b = a * u
-        step = 1.0 / (2.0 * np.linalg.norm(b, 2) ** 2)
-        grad = 2.0 * b.T @ (b @ sol.w - y)
-        kkt = np.linalg.norm(sol.w - project_capped_simplex(sol.w - step * grad, 5))
-        assert sol.kkt_residual == pytest.approx(kkt, rel=1e-6)
+        steps = solve_rot(a, y, u, 5).iterations
+        assert steps > 2
+        for max_iterations in (1, steps - 1):
+            monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", max_iterations)
+            sol = solve_rot(a, y, u, 5)
+            assert not sol.converged
+            assert sol.iterations == max_iterations
+            assert abs(sol.w.sum() - 5) <= 1e-9 * 5
+            # the reported residual is the fixed-point residual of the returned w
+            assert sol.kkt_residual == pytest.approx(
+                _fixed_point_residual(a, y, u, sol, 5), rel=1e-6)
 
 
 @pytest.mark.parametrize("k", [10, 20, 30])
@@ -359,10 +366,28 @@ def test_solve_rot_reduced_feasible_set(n, k, t):
         assert sol.objective <= binary_obj + 1e-6
 
 
+def test_solve_rot_certifies_ill_conditioned_seed4_subproblem(monkeypatch):
+    # the fourth ROT solve of this pgrotp run has cond(B^T B) of about 1e10
+    certificates = []
+    rot = solvers.solve_rot
+
+    def recording_rot(*args):
+        sol = rot(*args)
+        certificates.append((sol.converged, sol.kkt_residual))
+        return sol
+
+    monkeypatch.setattr(solvers, "solve_rot", recording_rot)
+    exp = ExperimentConfig(m=100, n=200, k_grid=(20,), seed=4)
+    solve(make_trial_problem(exp, 20, 40, "pgrotp", 3), "pgrotp")
+    assert len(certificates) >= 4
+    for converged, kkt in certificates:
+        assert converged and kkt <= operators.ROT_TOLERANCE, (converged, kkt)
+
+
 @pytest.mark.parametrize("k", [10, 20, 30])
 def test_solve_rot_projects_at_most_once_per_iteration(k, monkeypatch):
-    # the stop test uses the gradient mapping at the extrapolated point, so
-    # the only extra projection is the fixed-point certificate at the end
+    # the active-set steps never project: the one projection per solve is
+    # the fixed-point certificate of the returned w
     calls = []
     project = operators.project_capped_simplex
 
@@ -376,7 +401,7 @@ def test_solve_rot_projects_at_most_once_per_iteration(k, monkeypatch):
     def counting_rot(*args, **kwargs):
         before = len(calls)
         sol = rot(*args, **kwargs)
-        per_solve.append((len(calls) - before, sol.iterations))
+        per_solve.append(len(calls) - before)
         return sol
 
     monkeypatch.setattr(operators, "project_capped_simplex", counting_project)
@@ -384,8 +409,118 @@ def test_solve_rot_projects_at_most_once_per_iteration(k, monkeypatch):
     exp = ExperimentConfig(m=100, n=200, k_grid=(k,), seed=1)
     solve(make_trial_problem(exp, k, 2 * k, "pgrotp", 0), "pgrotp")
     assert per_solve
-    for projections, iterations in per_solve:
-        assert projections <= iterations + 1
+    for projections in per_solve:
+        assert projections <= 1
+
+
+def _rot_pattern_oracle(b, y, lo, hi):
+    """min ||y - B w||^2 over 0 <= w <= 1, lo <= sum(w) <= hi, by solving the
+    equality QP of every (box pattern x sum state) pair and keeping the best
+    feasible solution; B must have full column rank."""
+    t = b.shape[1]
+    gram, corr = b.T @ b, b.T @ y
+    best = np.inf
+    for pattern in itertools.product((0.0, 1.0, None), repeat=t):
+        free = [i for i, v in enumerate(pattern) if v is None]
+        fixed = [i for i, v in enumerate(pattern) if v is not None]
+        w = np.array([0.0 if v is None else v for v in pattern])
+        rhs = corr[free] - gram[np.ix_(free, fixed)] @ w[fixed]
+        for target in (None, lo, hi):
+            if target is None:
+                w[free] = np.linalg.solve(gram[np.ix_(free, free)], rhs)
+            elif free:
+                f = len(free)
+                kkt = np.zeros((f + 1, f + 1))
+                kkt[:f, :f] = gram[np.ix_(free, free)]
+                kkt[:f, f] = kkt[f, :f] = 1.0
+                sol = np.linalg.solve(kkt, np.append(rhs, target - w[fixed].sum()))
+                w[free] = sol[:f]
+            feasible = (np.all(w >= -1e-12) and np.all(w <= 1 + 1e-12)
+                        and lo - 1e-12 <= w.sum() <= hi + 1e-12)
+            if feasible:
+                r = y - b @ w
+                best = min(best, float(r @ r))
+    return best
+
+
+@pytest.mark.parametrize("n, k, t", [
+    (7, 3, 5),   # lo = 1 > 0
+    (9, 4, 3),   # t < k
+    (6, 2, 6),   # t = n: lo = hi
+    (10, 3, 7),  # lo = 0 < hi
+])
+def test_solve_rot_matches_kkt_pattern_oracle(n, k, t):
+    rng = np.random.default_rng(40 + 10 * n + t)
+    for _ in range(4):
+        m = int(rng.integers(t, t + 3))
+        a = rng.standard_normal((m, n)) / np.sqrt(m)
+        y = rng.standard_normal(m)
+        u = np.zeros(n)
+        u[rng.choice(n, size=t, replace=False)] = rng.standard_normal(t)
+        supp = np.flatnonzero(u)
+        oracle = _rot_pattern_oracle(a[:, supp] * u[supp], y,
+                                     max(0, k - (n - t)), min(k, t))
+        sol = solve_rot(a, y, u, k)
+        assert sol.converged
+        assert sol.objective == pytest.approx(oracle, abs=1e-10)
+
+
+def _duplicated_columns(rng):
+    a = rng.standard_normal((6, 10)) / np.sqrt(6)
+    a[:, 1] = a[:, 0]
+    a[:, 5] = -2.0 * a[:, 3]
+    u = rng.standard_normal(10)
+    u[1] = u[0]
+    u[9] = 0.0  # t = 9 < n: the sum is an inequality
+    return a, u
+
+
+def _wide(rng):  # t = 10 > m = 4
+    return rng.standard_normal((4, 10)) / 2.0, rng.standard_normal(10)
+
+
+@pytest.mark.parametrize("make", [_duplicated_columns, _wide])
+@pytest.mark.parametrize("k", [2, 5])
+def test_solve_rot_exactly_singular_gram(make, k):
+    rng = np.random.default_rng(41 + k)
+    for _ in range(8):
+        a, u = make(rng)
+        y = rng.standard_normal(a.shape[0])
+        sol = solve_rot(a, y, u, k)
+        assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+        assert abs(sol.w.sum() - k) <= 1e-9 * k
+        assert np.all(sol.w >= 0) and np.all(sol.w <= 1)
+        _, x = exact_optimal_threshold(a, y, u, k)
+        assert sol.objective <= float(np.linalg.norm(y - a @ x) ** 2) + 1e-6
+
+
+def test_solve_rot_nearly_dependent_columns():
+    # a column 3e-7 from zero and one 3e-7 from a copy count as dependent:
+    # f is then nearly, not exactly, linear along the zero-curvature steps,
+    # and the solve must still end certified
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((6, 10)) / np.sqrt(6)
+        a[:, 1] = a[:, 0] + 3e-7 * rng.standard_normal(6)
+        u = rng.standard_normal(10)
+        u[3] = 3e-7
+        y = rng.standard_normal(6)
+        for k in (2, 5):
+            sol = solve_rot(a, y, u, k)
+            assert sol.converged, (seed, k, sol.iterations)
+            assert sol.kkt_residual <= operators.ROT_TOLERANCE
+            _, x = exact_optimal_threshold(a, y, u, k)
+            assert sol.objective <= float(np.linalg.norm(y - a @ x) ** 2) + 1e-6
+
+
+def test_solve_rot_step_cap_on_singular_gram(monkeypatch):
+    a, u = _wide(np.random.default_rng(43))
+    y = np.random.default_rng(44).standard_normal(4)
+    monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", 1)
+    sol = solve_rot(a, y, u, 3)
+    assert not sol.converged and sol.iterations == 1
+    assert sol.kkt_residual == pytest.approx(
+        _fixed_point_residual(a, y, u, sol, 3), rel=1e-6)
 
 
 @pytest.mark.parametrize("u", [np.zeros(6), np.arange(1.0, 7.0)])
