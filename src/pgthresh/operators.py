@@ -5,8 +5,9 @@ capped simplex {w : sum w = k, 0 <= w <= 1}, and the two subproblems of a
 PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
 supp(u): the exact binary one (``optimal_threshold_on_support``) and its
 convex relaxation (``solve_rot``), a box-and-sum constrained least-squares
-QP solved exactly by a primal active-set method.  Its only projection is
-the fixed-point certificate of the returned weights.
+QP solved exactly by a primal active-set method, cold or warm-started from
+given weights.  Its only projection outside a warm start is the
+fixed-point certificate of the returned weights.
 ``combination_chunks`` is the one exhaustive enumeration, in bounded chunks
 under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
 ``theory.brute_force_ric``.
@@ -176,7 +177,7 @@ class RotSolution:
     converged: bool
 
 
-def solve_rot(a, y, u, k: int) -> RotSolution:
+def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     """Solve min ||y - A (w * u)||^2 s.t. sum(w) = k, 0 <= w <= 1.
 
     The QP is solved on S = supp(u), t = |S| (see ``_restrict``): minimise
@@ -185,8 +186,15 @@ def solve_rot(a, y, u, k: int) -> RotSolution:
     entry off S the value (k - sum(w_S)) / (n - t), clipped to [0, 1].
 
     Primal active-set method (Nocedal & Wright, Numerical Optimization,
-    2nd ed., Alg. 16.3) from w_S = k / n.  The working set holds bounds
-    w_i = 0 or 1 and, when active, the sum constraint (always, if lo = hi).
+    2nd ed., Alg. 16.3) from w_S = k / n, or from ``start``, a length-n
+    weight vector (say the previous outer step's weights): its entries on S
+    are clipped to [0, 1], projected onto the capped simplex of sum lo or
+    hi if their sum leaves [lo, hi] by more than t ulps, and every one at 0
+    or 1 starts in the working set, except the first if all are and lo = hi.
+    The minimiser is the same from either start where the QP is strictly
+    convex (B of full column rank, generically so for t <= q + k < m).  The
+    working set holds bounds w_i = 0 or 1 and, when active, the sum
+    constraint (always, if lo = hi).
     Each step minimises f over the free weights F with the working set
     fixed: a least-squares step in the columns B_F Z, where Z = I or, with
     the sum in the working set, Z = [I; -1^T] keeps the sum.  The step is
@@ -211,6 +219,8 @@ def solve_rot(a, y, u, k: int) -> RotSolution:
     """
     y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
     n, t = u.size, supp.size
+    if start is not None and np.shape(start) != (n,):
+        raise ValueError(f"start has shape {np.shape(start)}, expected ({n},)")
 
     def solution(w_s: np.ndarray, steps: int, kkt: float,
                  converged: bool) -> RotSolution:
@@ -226,6 +236,19 @@ def solve_rot(a, y, u, k: int) -> RotSolution:
         # B = 0 (or empty): every feasible w is optimal; hi = 0 or lo = t:
         # w is the only feasible point
         return solution(w, 0, 0.0, True)
+    bound = np.zeros(t, dtype=int)  # -1: w_i = 0 and +1: w_i = 1 are working
+    if start is not None:
+        w = np.asarray(start, dtype=float)[supp].clip(0.0, 1.0)
+        # a sum off [lo, hi] by rounding alone (t ulps) counts as on it: a
+        # projection would move the weights at 1 off their bound
+        ulps = t * np.finfo(float).eps
+        if not lo - ulps <= w.sum() <= hi + ulps:
+            w = project_capped_simplex(w, hi if w.sum() > hi else lo)
+        bound[w == 0.0] = -1
+        bound[w == 1.0] = 1
+        if lo == hi and bound.all():
+            # the working sum and t bounds would be dependent: free one
+            bound[0] = 0
     # a free column closer than rank_tol to the span of the free columns
     # before it counts as dependent; the Cholesky pivots of their Gram matrix
     # resolve that distance only down to about sqrt(eps) ||B||_2
@@ -235,7 +258,6 @@ def solve_rot(a, y, u, k: int) -> RotSolution:
     # and P is nonexpansive
     slack = lipschitz * ROT_TOLERANCE / (4.0 * np.sqrt(t))
 
-    bound = np.zeros(t, dtype=int)  # -1: w_i = 0 and +1: w_i = 1 are working
     side = 1 if lo == hi else 0  # the sum is working at hi (+1) or lo (-1)
     # columns: zero-curvature directions p (B p ~ 0) that keep the working
     # set; only the rows of free weights are read

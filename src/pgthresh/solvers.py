@@ -4,9 +4,10 @@
 method is a step ``x -> x_next``, built per problem and run by one shared
 iteration/stopping loop: PGOT (the exact binary subproblem), PGROT (its
 convex relaxation), PGROTP (relaxation plus pursuit step) and the IHT / OMP
-/ SP baselines.  The two subproblems live in ``operators``.  The q = n
-reductions OT, ROT and ROTP are the same algorithms with the
-partial-gradient width forced to n.
+/ SP baselines.  The two subproblems live in ``operators``; a PGROT or
+PGROTP solve warm-starts each relaxed subproblem after its first from the
+previous step's weights.  The q = n reductions OT, ROT and ROTP are the
+same algorithms with the partial-gradient width forced to n.
 """
 
 from __future__ import annotations
@@ -109,29 +110,44 @@ def _pgot(problem, cfg):
     return step
 
 
-def _relaxed_point(problem, x, g, p, events):
-    """w * u, with w the relaxed subproblem's weights at the point u."""
-    u = _partial_gradient_point(problem, x, g)
-    sol = solve_rot(problem.a, problem.y, u, problem.k)
-    if not sol.converged:
-        events.append(f"rot subproblem not converged at iteration {p + 1} "
-                      f"(kkt_residual={sol.kkt_residual:.3e})")
-    return sol.w * u
+def _relaxed(problem):
+    """relaxed(x, g, p, events) -> w * u, with w the relaxed subproblem's
+    weights at the point u of this step.
+
+    Each subproblem after the first starts from the previous one's weights
+    on the previous supp(u), and from 0 on indices new to supp(u).
+    """
+    start = None
+
+    def relaxed(x, g, p, events):
+        nonlocal start
+        u = _partial_gradient_point(problem, x, g)
+        sol = solve_rot(problem.a, problem.y, u, problem.k, start)
+        if not sol.converged:
+            events.append(f"rot subproblem not converged at iteration {p + 1} "
+                          f"(kkt_residual={sol.kkt_residual:.3e})")
+        start = sol.w * (u != 0)
+        return sol.w * u
+
+    return relaxed
 
 
 def _pgrot(problem, cfg):
     """Relaxed partial-gradient optimal k-thresholding."""
+    relaxed = _relaxed(problem)
+
     def step(x, g, p, events):
-        return hard_threshold(_relaxed_point(problem, x, g, p, events),
-                              problem.k)
+        return hard_threshold(relaxed(x, g, p, events), problem.k)
 
     return step
 
 
 def _pgrotp(problem, cfg):
     """Relaxed partial-gradient optimal k-thresholding with pursuit step."""
+    relaxed = _relaxed(problem)
+
     def step(x, g, p, events):
-        v = _relaxed_point(problem, x, g, p, events)
+        v = relaxed(x, g, p, events)
         support = top_k_support(v, problem.k)
         return linalg.least_squares_on_support(problem.a, problem.y, support)
 

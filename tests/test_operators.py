@@ -1,5 +1,6 @@
 import ast
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,7 @@ def _rot_pattern_oracle(b, y, lo, hi):
 ])
 def test_solve_rot_matches_kkt_pattern_oracle(n, k, t):
     rng = np.random.default_rng(40 + 10 * n + t)
+    starts = np.random.default_rng(50 + 10 * n + t)
     for _ in range(4):
         m = int(rng.integers(t, t + 3))
         a = rng.standard_normal((m, n)) / np.sqrt(m)
@@ -463,6 +465,63 @@ def test_solve_rot_matches_kkt_pattern_oracle(n, k, t):
         sol = solve_rot(a, y, u, k)
         assert sol.converged
         assert sol.objective == pytest.approx(oracle, abs=1e-10)
+        # starts with weights below 0, inside and above 1
+        for start in starts.uniform(-0.5, 1.5, (3, n)):
+            _assert_warm_start_matches_cold(a, y, u, k, start, sol)
+
+
+def _assert_warm_start_matches_cold(a, y, u, k, start, cold):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_rot(a, y, u, k, start)
+    assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, k, t, start", [
+    # t = n, so lo = hi = k: every weight starts at a bound, and the working
+    # sum would make them dependent
+    (6, 2, 6, [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]),
+    # clipped sum t = 5 > hi = 3, and 7 > hi with t = n
+    (7, 3, 5, [2.0, 1.0, 0.9, 3.0, 1.5, 0.8, 4.0]),
+    (7, 3, 7, [2.0, 1.0, 0.9, 3.0, 1.5, 0.8, 4.0]),
+    # clipped sum 0.1 < lo = 1, and 0.1 < lo = 3 with t = n
+    (7, 3, 5, [-1.0, 0.0, 0.1, -2.0, 0.0, -0.5, 0.0]),
+    (7, 3, 7, [-1.0, 0.0, 0.1, -2.0, 0.0, -0.5, 0.0]),
+])
+def test_solve_rot_warm_start_outside_feasible_set(n, k, t, start):
+    rng = np.random.default_rng(60 + t)
+    for _ in range(4):
+        a = rng.standard_normal((t + 1, n)) / np.sqrt(t + 1)
+        y = rng.standard_normal(t + 1)
+        u = np.zeros(n)
+        u[:t] = rng.standard_normal(t)
+        cold = solve_rot(a, y, u, k)
+        assert cold.converged
+        _assert_warm_start_matches_cold(a, y, u, k, np.array(start), cold)
+
+
+def test_solve_rot_restarted_at_its_minimiser_takes_at_most_two_steps():
+    # the returned sum is k only up to rounding: a start there must keep its
+    # weights at 0 and 1 in the working set, not project them off their bounds
+    rng = np.random.default_rng(70)
+    for _ in range(50):
+        t = int(rng.integers(6, 13))
+        a = rng.standard_normal((t + 2, 12))
+        y = rng.standard_normal(t + 2)
+        u = np.zeros(12)
+        u[rng.choice(12, size=t, replace=False)] = rng.standard_normal(t)
+        cold = solve_rot(a, y, u, 4)
+        sol = solve_rot(a, y, u, 4, cold.w)
+        assert sol.converged and sol.iterations <= 2, (t, sol.iterations)
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
+
+
+def test_solve_rot_rejects_start_of_wrong_length():
+    a = np.ones((3, 6))
+    for u in (np.ones(6), np.zeros(6)):  # also where the start goes unused
+        with pytest.raises(ValueError, match="start"):
+            solve_rot(a, np.ones(3), u, 2, np.ones(5))
 
 
 def _duplicated_columns(rng):

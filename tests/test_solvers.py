@@ -9,6 +9,7 @@ from pgthresh import (ALGORITHM_IDS, MAX_ITERATIONS, RECOVERY, RESIDUAL,
                       hard_threshold, least_squares_on_support, pgot_step,
                       residual_norm, solve, solve_rot, top_k_support)
 from pgthresh import operators, solvers
+from pgthresh.bench import ExperimentConfig, make_trial_problem
 from pgthresh.solvers import _partial_gradient_point
 
 
@@ -211,6 +212,50 @@ def test_rot_nonconvergence_reported_per_iteration(algo, monkeypatch):
             rf"rot subproblem not converged at iteration {p} "
             r"\(kkt_residual=\d\.\d{3}e[+-]\d+\)", event)
     assert solve(problem, algo).events == []
+
+
+def _rot_recorded_solve(problem, algo, monkeypatch, cold):
+    """solve(problem, algo), recording each ROT call's (u, start, solution);
+    cold forces every start to None."""
+    calls = []
+    rot = solvers.solve_rot
+
+    def recording_rot(a, y, u, k, start=None):
+        sol = rot(a, y, u, k, None if cold else start)
+        calls.append((u, start, sol))
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "solve_rot", recording_rot)
+        report = solve(problem, algo)
+    return report, calls
+
+
+@pytest.mark.parametrize("algo", ["pgrot", "pgrotp", "rot", "rotp"])
+def test_rot_warm_start_from_previous_step(algo, monkeypatch):
+    exp = ExperimentConfig(m=40, n=80, k_grid=(6,), seed=7)
+    warm_steps = cold_steps = 0
+    for trial in range(4):
+        problem = make_trial_problem(exp, 6, 12, algo, trial)
+        cold, cold_calls = _rot_recorded_solve(problem, algo, monkeypatch, True)
+        warm, calls = _rot_recorded_solve(problem, algo, monkeypatch, False)
+        assert calls[0][1] is None
+        for (u, _, previous), (_, start, _) in zip(calls, calls[1:]):
+            assert np.array_equal(start, previous.w * (u != 0))
+        assert warm.iterations == cold.iterations
+        assert warm.termination == cold.termination
+        if algo in ("pgrotp", "rotp"):
+            # the pursuit step reads only the support of w * u
+            assert np.array_equal(warm.final_x, cold.final_x)
+        else:
+            # x = H_k(w * u): both w are the QP's minimiser, up to rounding
+            # and the certificate's slack
+            assert np.array_equal(np.flatnonzero(warm.final_x),
+                                  np.flatnonzero(cold.final_x))
+            assert np.allclose(warm.final_x, cold.final_x, rtol=0, atol=1e-8)
+        warm_steps += sum(sol.iterations for _, _, sol in calls)
+        cold_steps += sum(sol.iterations for _, _, sol in cold_calls)
+    assert warm_steps < cold_steps
 
 
 def test_check_recovery_cases():
