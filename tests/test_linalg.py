@@ -3,7 +3,7 @@ import pytest
 
 from pgthresh import (least_squares_on_support, mat_vec, objective,
                       residual_norm, transpose_mat_vec)
-from pgthresh.linalg import gram_lambda_max
+from pgthresh.linalg import LSQ_PIVOT_RATIO, gram_lambda_max
 
 
 def test_mat_vec_identity():
@@ -86,6 +86,86 @@ def test_least_squares_rank_deficient_minimum_norm():
     z = least_squares_on_support(a, [2, 2], [0, 1])
     # min-norm solution splits mass equally between identical columns
     assert np.allclose(z, [1, 1])
+
+
+def test_least_squares_repeated_indices_merged():
+    # the minimiser over vectors supported on {0} puts all of y[0] on z[0]
+    z = least_squares_on_support(np.eye(2), [3, 4], [0, 0])
+    assert np.array_equal(z, [3.0, 0.0])
+
+
+@pytest.mark.parametrize("support", [[1.5], [0, 0.5], np.array([1.0])])
+def test_least_squares_rejects_non_integer_indices(support):
+    with pytest.raises(ValueError, match="integers"):
+        least_squares_on_support(np.eye(2), [3, 4], support)
+
+
+def _columns_with_condition(rng, m, j, kappa):
+    """m x j matrix with singular values spread geometrically over [1/kappa, 1]."""
+    u = np.linalg.qr(rng.standard_normal((m, j)))[0]
+    v = np.linalg.qr(rng.standard_normal((j, j)))[0]
+    return (u * np.logspace(0.0, -np.log10(kappa), j)) @ v.T
+
+
+@pytest.mark.parametrize("m,j,kappa", [(12, 5, 1e1), (40, 10, 1e2),
+                                       (8, 8, 1e2), (30, 30, 1e2)])
+def test_least_squares_full_rank_matches_lstsq(m, j, kappa):
+    rng = np.random.default_rng(m * j)
+    for _ in range(20):
+        a = _columns_with_condition(rng, m, j, kappa)
+        y = rng.standard_normal(m)
+        z = least_squares_on_support(a, y, np.arange(j))
+        ref = np.linalg.lstsq(a, y, rcond=None)[0]
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal((5, 9))
+    duplicated = rng.standard_normal((10, 6))
+    duplicated[:, 4] = duplicated[:, 1]
+    zero = rng.standard_normal((10, 6))
+    zero[:, 2] = 0.0
+    ill = np.hstack([_columns_with_condition(rng, 20, 6, 1e5),
+                     _columns_with_condition(rng, 20, 6, 1e4)])
+    return [pytest.param(wide, np.arange(9), id="more-columns-than-rows"),
+            pytest.param(duplicated, np.array([0, 1, 3, 4]),
+                         id="duplicated-column"),
+            pytest.param(zero, np.array([1, 2, 5]), id="zero-column"),
+            pytest.param(ill, np.arange(6), id="cond-1e5"),
+            pytest.param(ill, np.arange(6, 12), id="cond-1e4")]
+
+
+@pytest.mark.parametrize("a,idx", _fallback_cases())
+def test_least_squares_fallback_is_lstsq(a, idx):
+    if idx.size <= a.shape[0]:
+        # the case reaches the fallback only if the pivot is below the bound
+        cols = a[:, idx]
+        try:
+            pivot = np.linalg.cholesky(cols.T @ cols).diagonal().min()
+        except np.linalg.LinAlgError:
+            pivot = 0.0
+        assert pivot <= LSQ_PIVOT_RATIO * np.linalg.norm(cols, axis=0).max()
+    y = np.random.default_rng(12).standard_normal(a.shape[0])
+    z = least_squares_on_support(a, y, idx)
+    expected = np.zeros(a.shape[1])
+    expected[idx] = np.linalg.lstsq(a[:, idx], y, rcond=None)[0]
+    assert np.array_equal(z, expected)
+
+
+def test_least_squares_well_conditioned_skips_lstsq(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a well-conditioned support reached lstsq")
+
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((256, 1024)) / 16.0
+    y = rng.standard_normal(256)
+    s = np.sort(rng.choice(1024, size=60, replace=False))
+    expected = np.zeros(1024)
+    expected[s] = np.linalg.lstsq(a[:, s], y, rcond=None)[0]
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    z = least_squares_on_support(a, y, s)
+    assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_adjointness():
