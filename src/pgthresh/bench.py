@@ -52,8 +52,8 @@ class ExperimentConfig:
                 raise ValueError(f"k={k} must satisfy 1 <= k <= n={self.n}")
         for token in self.q_list:  # raises on a token it cannot parse
             resolve_q(token, 1, self.n)
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:  # nan fails both comparisons
+            raise ValueError(f"sigma={self.sigma} must be finite and nonnegative")
         if self.scaling not in SCALINGS:
             raise ValueError(f"scaling must be one of {SCALINGS}")
         if self.trials < 1 or self.threads < 1:
@@ -153,7 +153,7 @@ def _map(fn, items, threads: int):
 
 
 def objective_trace_experiment(cfg: ExperimentConfig) -> list[tuple]:
-    """Objective value per iteration for PGROTP at each q in the q-list.
+    """Objective value per iteration for PGROTP at each distinct q, ascending.
 
     Single (m, n, k) cell on trial 0's instance, fixed iteration budget
     (trace_iterations); rows are (iteration, algo, q, ||y - A x^p||_2).
@@ -165,22 +165,18 @@ def objective_trace_experiment(cfg: ExperimentConfig) -> list[tuple]:
     (k,) = cfg.k_grid
     solver_cfg = SolverConfig(max_iterations=cfg.trace_iterations)
 
-    def run(q_token):
-        q = resolve_q(q_token, k, cfg.n)
+    def run(q):
         problem = make_trial_problem(cfg, k, q, "pgrotp", 0)
         report = solve(problem, "pgrotp", solver_cfg)
         return [(entry.iteration, "pgrotp", q, entry.objective)
                 for entry in report.trace]
 
-    rows = []
-    for chunk in _map(run, list(cfg.q_list), cfg.threads):
-        rows.extend(chunk)
-    rows.sort(key=lambda r: (r[2], r[0]))
-    return rows
+    # tokens that resolve to one q (say 3k and n, clamped) run it once
+    qs = sorted({resolve_q(token, k, cfg.n) for token in cfg.q_list})
+    return [row for chunk in _map(run, qs, cfg.threads) for row in chunk]
 
 
-def _run_cell(cfg: ExperimentConfig, k: int, q_token, algo: str) -> CellResult:
-    q = resolve_q(q_token, k, cfg.n)
+def _run_cell(cfg: ExperimentConfig, k: int, q: int, algo: str) -> CellResult:
     solver_cfg = SolverConfig()
     successes = 0
     iteration_sum = 0.0
@@ -196,11 +192,10 @@ def _run_cell(cfg: ExperimentConfig, k: int, q_token, algo: str) -> CellResult:
 
 
 def _run_grid(cfg: ExperimentConfig) -> list[CellResult]:
-    cells = [(k, q, algo) for k in cfg.k_grid for q in cfg.q_list
-             for algo in cfg.algorithms]
-    results = _map(lambda c: _run_cell(cfg, *c), cells, cfg.threads)
-    results.sort(key=lambda r: (r.m, r.n, r.k, r.q, r.algorithm, r.sigma))
-    return results
+    # one cell per distinct (k, q, algo), however often the lists repeat it
+    cells = sorted({(k, resolve_q(token, k, cfg.n), algo) for k in cfg.k_grid
+                    for token in cfg.q_list for algo in cfg.algorithms})
+    return _map(lambda c: _run_cell(cfg, *c), cells, cfg.threads)
 
 
 def iteration_count_experiment(cfg: ExperimentConfig) -> list[CellResult]:

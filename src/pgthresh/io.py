@@ -1,8 +1,9 @@
 """Plain-text matrix/vector file formats.
 
 Matrix file: first line ``m n``, then m lines of n whitespace-separated
-numbers.  Vector file: first line ``n``, then n numbers (free whitespace
-layout).  UTF-8, '.' decimal separator, scientific notation accepted.
+numbers, then only blank lines.  Vector file: first line ``n``, then n
+numbers (free whitespace layout).  UTF-8, '.' decimal separator,
+scientific notation accepted.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ def read_matrix(path) -> np.ndarray:
             rows.append([float(p) for p in parts])
         except ValueError:
             raise ParseError(path, i + 2, f"non-numeric entry in row {i + 1}") from None
+    for i, line in enumerate(lines[m + 1:], start=m + 2):
+        if line.strip():
+            raise ParseError(path, i, f"expected {m} data rows, found more: {line!r}")
     a = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ParseError(path, 1, "matrix entries must be finite")

@@ -61,8 +61,8 @@ class ProblemInstance:
             raise ValueError(f"k={self.k} must satisfy 1 <= k <= n={n}")
         if not self.k <= self.q <= n:
             raise ValueError(f"q={self.q} must satisfy k <= q <= n")
-        if not self.lam > 0:
-            raise ValueError("stepsize lam must be positive")
+        if not 0 < self.lam < np.inf:  # nan fails both comparisons
+            raise ValueError(f"stepsize lam={self.lam} must be finite and positive")
         if self.truth is not None:
             object.__setattr__(self, "truth", as_vector(self.truth, n, "truth"))
 

@@ -4,10 +4,10 @@ Contains the hard-thresholding operator, Euclidean projection onto the
 capped simplex {w : sum w = k, 0 <= w <= 1}, and the two subproblems of a
 PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
 supp(u): the exact binary one (``optimal_threshold_on_support``) and its
-convex relaxation (``solve_rot``), a box-and-sum constrained least-squares
-QP solved exactly by a primal active-set method, cold or warm-started from
-given weights.  Its only projection outside a warm start is the
-fixed-point certificate of the returned weights.
+convex relaxation (``solve_rot``), a boxed least-squares QP with sum k
+over the weights on supp(u) and their total off it, solved exactly by a
+primal active-set method, cold or warm-started from given weights.  Its
+only projection outside a warm start is the certificate of its result.
 ``combination_chunks`` is the one exhaustive enumeration, in bounded chunks
 under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
 ``theory.brute_force_ric``.
@@ -180,42 +180,45 @@ class RotSolution:
 def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     """Solve min ||y - A (w * u)||^2 s.t. sum(w) = k, 0 <= w <= 1.
 
-    The QP is solved on S = supp(u), t = |S| (see ``_restrict``): minimise
-    f(w_S) = ||y - B w_S||^2, B = A[:, S] diag(u[S]), over the box [0, 1]^t
-    with lo <= sum(w_S) <= hi; the returned w is lifted back by giving each
-    entry off S the value (k - sum(w_S)) / (n - t), clipped to [0, 1].
+    Only the t = |S| weights on S = supp(u) move the objective (see
+    ``_restrict``), so the n - t weights off S merge into one variable, their
+    total o = k - sum(w_S).  Over v = (w_S, o) the QP keeps the paper's form:
+    minimise f(v) = ||y - [B, 0] v||^2, B = A[:, S] diag(u[S]), over the box
+    0 <= v <= (1, ..., 1, n - t) with sum(v) = k.  The returned w gives each
+    entry off S the share o / (n - t), clipped to [0, 1].
 
     Primal active-set method (Nocedal & Wright, Numerical Optimization,
     2nd ed., Alg. 16.3) from w_S = k / n, or from ``start``, a length-n
     weight vector (say the previous outer step's weights): its entries on S
     are clipped to [0, 1], projected onto the capped simplex of sum lo or
     hi if their sum leaves [lo, hi] by more than t ulps, and every one at 0
-    or 1 starts in the working set, except the first if all are and lo = hi.
+    or 1 starts in the working set, except the first if all are and t = n.
     The minimiser is the same from either start where the QP is strictly
     convex (B of full column rank, generically so for t <= q + k < m).  The
-    working set holds bounds w_i = 0 or 1 and, when active, the sum
-    constraint (always, if lo = hi).
-    Each step minimises f over the free weights F with the working set
-    fixed: a least-squares step in the columns B_F Z, where Z = I or, with
-    the sum in the working set, Z = [I; -1^T] keeps the sum.  The step is
-    cut at the first blocking constraint, which joins the working set.  If
-    a column of B_F Z lies within 1e-6 ||B||_2 of the span of the columns
-    before it (a Cholesky pivot of the reduced Hessian), or B_F Z has more
-    columns than rows, the Hessian is singular: the right singular vectors
-    of B_F Z whose singular values are at most that bound are directions of
-    zero curvature.  Each step then follows one of them, signed to descend,
-    to the next bound, and the rest are combined to keep the constraint
-    that joined, one direction fewer; so one SVD serves until none is left.
-    At the minimiser on the working set the constraint with the most
-    negative multiplier leaves it; the method stops once none is below
-    -L ROT_TOLERANCE / (4 sqrt(t)).  Ties go to the lowest index, the sum
-    constraint after every bound.
+    working set holds sum(v) = k, always, and bounds at 0 or at the upper
+    end; o starts free, unless t = n: its box [0, 0] then holds it for good.
+    Each step minimises f over the free variables F with the working set
+    fixed: a least-squares step in the columns [B, 0]_F Z, Z = [I; -1^T],
+    so the last free variable pays to keep the sum (o while it is free: its
+    zero column leaves B_F).  The step is cut at the first blocking bound,
+    which joins the working set.  If a column of [B, 0]_F Z lies within
+    1e-6 ||B||_2 of the span of the columns before it (a Cholesky pivot of
+    the reduced Hessian), or there are more columns than rows, the Hessian
+    is singular: the right singular vectors whose singular values are at
+    most that bound are directions of zero curvature.  Each step then
+    follows one of them, signed to descend, to the next bound, and the rest
+    are combined to keep the bound that joined, one direction fewer; so one
+    SVD serves until none is left.  At the minimiser on the working set the
+    bound with the most negative multiplier leaves it; the method stops
+    once none is below -L ROT_TOLERANCE / (4 sqrt(t)).  Ties go to the
+    lowest index, so o comes after every weight.
 
     ``iterations`` counts steps, at most ROT_MAX_ITERATIONS.  ``kkt_residual``
     is the fixed-point residual ||w_S - P(w_S - grad f(w_S) / L)|| of the
-    returned w_S, with P the projection onto the feasible set and
-    L = 2 lambda_max(B^T B); ``converged`` is true only if the method
-    stopped before the cap and that residual is <= ROT_TOLERANCE.
+    returned w_S, with P the projection onto the w_S of feasible v (the box
+    [0, 1]^t with lo <= sum(w_S) <= hi) and L = 2 lambda_max(B^T B);
+    ``converged`` is true only if the method stopped before the cap and that
+    residual is <= ROT_TOLERANCE.
     """
     y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
     n, t = u.size, supp.size
@@ -236,7 +239,11 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         # B = 0 (or empty): every feasible w is optimal; hi = 0 or lo = t:
         # w is the only feasible point
         return solution(w, 0, 0.0, True)
-    bound = np.zeros(t, dtype=int)  # -1: w_i = 0 and +1: w_i = 1 are working
+    # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
+    upper = np.append(np.ones(t), n - t)
+    b_ext = np.hstack([b_sub, np.zeros((y.size, 1))])
+    bound = np.zeros(t + 1, dtype=int)  # -1: v_i = 0, +1: v_i = upper_i working
+    bound[t] = -1 if t == n else 0  # o's box is [0, 0] when t = n
     if start is not None:
         w = np.asarray(start, dtype=float)[supp].clip(0.0, 1.0)
         # a sum off [lo, hi] by rounding alone (t ulps) counts as on it: a
@@ -244,11 +251,12 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         ulps = t * np.finfo(float).eps
         if not lo - ulps <= w.sum() <= hi + ulps:
             w = project_capped_simplex(w, hi if w.sum() > hi else lo)
-        bound[w == 0.0] = -1
-        bound[w == 1.0] = 1
-        if lo == hi and bound.all():
-            # the working sum and t bounds would be dependent: free one
+        bound[:t][w == 0.0] = -1
+        bound[:t][w == 1.0] = 1
+        if bound.all():  # the sum and t + 1 bounds are dependent: free one
             bound[0] = 0
+    v = np.append(w, 0.0)
+    grad = np.zeros(t + 1)  # o moves no residual: its gradient stays 0
     # a free column closer than rank_tol to the span of the free columns
     # before it counts as dependent; the Cholesky pivots of their Gram matrix
     # resolve that distance only down to about sqrt(eps) ||B||_2
@@ -258,34 +266,33 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     # and P is nonexpansive
     slack = lipschitz * ROT_TOLERANCE / (4.0 * np.sqrt(t))
 
-    side = 1 if lo == hi else 0  # the sum is working at hi (+1) or lo (-1)
     # columns: zero-curvature directions p (B p ~ 0) that keep the working
-    # set; only the rows of free weights are read
-    null = np.zeros((t, 0))
+    # set; only the rows of free variables are read
+    null = np.zeros((t + 1, 0))
     # regular: the last step was a Newton step cut short by a bound on a
-    # weight other than the last free one (which pays for s when the sum is
-    # working), so the reduced Hessian lost a column and kept the rest
+    # variable other than the last free one (which pays for s), so the
+    # reduced Hessian lost a column and kept the rest
     steps, at_minimum, regular = 0, False, False
     while True:
         free = np.flatnonzero(bound == 0)
-        r = y - b_sub @ w
-        if at_minimum:  # w minimises f on the working set
-            grad = -2.0 * (b_sub.T @ r)
-            sigma = -grad[free].mean() if side else 0.0
-            mult = np.where(bound != 0, -bound * (grad + sigma), np.inf)
-            mult = np.append(mult, side * sigma if side and lo < hi else np.inf)
+        v[t] = k - v[:t].sum()  # afresh: updates to o would drift by rounding
+        r = y - b_sub @ v[:t]
+        if at_minimum:  # v minimises f on the working set
+            grad[:t] = -2.0 * (b_sub.T @ r)
+            sigma = -grad[free].mean()  # the multiplier of sum(v) = k
+            # o on its box [0, 0] (t = n) never leaves
+            mult = np.where((bound != 0) & (upper > 0.0),
+                            -bound * (grad + sigma), np.inf)
             i = int(np.argmin(mult))
             if mult[i] >= -slack:
                 break
-            if i == t:
-                side = 0
-            else:
-                bound[i] = 0
+            bound[i] = 0
             at_minimum = regular = False
             continue
-        cols = b_sub[:, free]
-        if side:  # p_F = Z s keeps the sum: the last free weight pays for s
-            cols = cols[:, :-1] - cols[:, -1:]
+        # p_F = Z s keeps the sum: the last free variable pays for s; while
+        # o is free it is last, and its zero column leaves the columns B_F
+        cols = b_ext[:, free]
+        cols = cols[:, :-1] - cols[:, -1:]
         d = cols.shape[1]
         if d == 0:
             at_minimum = True
@@ -310,48 +317,41 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
                 # rank_tol up to rounding, so keep at least that one
                 sv, vt = np.linalg.svd(cols)[1:]
                 basis = vt[min(np.count_nonzero(sv > rank_tol), d - 1):].T
-                null = np.zeros((t, basis.shape[1]))
-                null[free] = (np.vstack([basis, -basis.sum(axis=0)]) if side
-                              else basis)
+                null = np.zeros((t + 1, basis.shape[1]))
+                null[free] = np.vstack([basis, -basis.sum(axis=0)])
         newton = not null.shape[1]
         if newton:
             # the Cholesky factor only tests: numpy has no triangular solve,
             # and two general solves with it are slower than one with hess
             s = np.linalg.solve(hess, cols.T @ r)
-            p = np.append(s, -s.sum()) if side else s
+            p = np.concatenate((s, [-s.sum()]))
         else:  # f is linear along p: grad . p = -2 r . (B p)
             p = null[free, 0]
-            if r @ (b_sub[:, free] @ p) < 0.0:
+            if r @ (b_ext[:, free] @ p) < 0.0:
                 p = -p
-        w_f = w[free]
-        ratio = np.full(free.size + 1, np.inf)  # the sum constraint last
+        v_f = v[free]
+        ratio = np.full(free.size, np.inf)
         down, up = p < 0.0, p > 0.0
-        ratio[:-1][down] = w_f[down] / -p[down]
-        ratio[:-1][up] = (1.0 - w_f[up]) / p[up]
-        total, change = w.sum(), p.sum()
-        if not side and change != 0.0:
-            ratio[-1] = ((hi - total) / change if change > 0.0
-                         else (total - lo) / -change)
+        ratio[down] = v_f[down] / -p[down]
+        ratio[up] = (upper[free[up]] - v_f[up]) / p[up]
         ratio = ratio.clip(0.0)
-        i = int(np.argmin(ratio))
+        i = int(np.argmin(ratio))  # on ties the lowest index: o is last
         if newton and ratio[i] >= 1.0:
-            w[free] = w_f + p
+            v[free] = v_f + p
             at_minimum = True
             continue
-        w[free] = w_f + ratio[i] * p
-        regular = newton and i < free.size - (side != 0)
-        if i == free.size:
-            side = 1 if change > 0.0 else -1
-            row = null[free].sum(axis=0)
-        else:
-            bound[free[i]] = 1 if p[i] > 0.0 else -1
-            w[free[i]] = 1.0 if p[i] > 0.0 else 0.0
-            row = null[free[i]]
+        v[free] = v_f + ratio[i] * p
+        regular = newton and i < free.size - 1
+        j = free[i]
+        bound[j] = 1 if p[i] > 0.0 else -1
+        v[j] = upper[j] if p[i] > 0.0 else 0.0
         if null.shape[1]:
-            # the directions that keep the new constraint too: eliminate its
-            # row with the largest entry as pivot, one direction fewer
-            j = int(np.argmax(np.abs(row)))
-            null = np.delete(null - np.outer(null[:, j], row / row[j]), j, axis=1)
+            # the directions that keep the new bound too: eliminate its row
+            # with the largest entry as pivot, one direction fewer
+            row = null[j]
+            c = int(np.argmax(np.abs(row)))
+            null = np.delete(null - np.outer(null[:, c], row / row[c]), c, axis=1)
+    w = v[:t]
 
     grad = -2.0 * (b_sub.T @ (y - b_sub @ w))
     v = w - grad / lipschitz

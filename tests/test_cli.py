@@ -111,6 +111,56 @@ def test_unwritable_output_is_a_user_error(command, tmp_path, capsys,
     assert not (tmp_path / "no such dir").exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_bench_non_finite_sigma_is_a_user_error(sigma, tmp_path, capsys,
+                                                monkeypatch):
+    built = []
+    monkeypatch.setattr(bench, "make_trial_problem",
+                        lambda *args: built.append(args))
+    out = tmp_path / "s.csv"
+    assert main(["bench", "--experiment", "success", "--m", "10", "--n", "20",
+                 "--k-grid", "2", "--algos", "sp", "--trials", "1",
+                 "--sigma", sigma, "--seed", "1", "--csv", str(out)]) == 1
+    assert "sigma" in capsys.readouterr().err
+    assert built == []
+    assert not out.exists()
+
+
+def test_solve_infinite_lambda_is_a_user_error(tmp_path, capsys):
+    files = _write_planted(tmp_path)
+    assert main(["solve", *files, "--lambda", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lam" in err
+
+
+def _bench_rows(tmp_path, *args):
+    out = tmp_path / "out.csv"
+    assert main(["bench", "--m", "20", "--n", "30", "--seed", "5", *args,
+                 "--csv", str(out)]) == 0
+    return out.read_text().splitlines()[1:]
+
+
+def test_bench_success_runs_a_repeated_cell_once(tmp_path):
+    rows = _bench_rows(tmp_path, "--experiment", "success", "--k-grid", "2,2",
+                       "--algos", "sp,sp", "--trials", "2")
+    assert [row.split(",")[:5] for row in rows] == [["20", "30", "2", "4", "sp"]]
+
+
+def test_bench_iters_runs_each_resolved_q_once(tmp_path):
+    # 3k and n both resolve to q = 30
+    rows = _bench_rows(tmp_path, "--experiment", "iters", "--k-grid", "10",
+                       "--q-list", "2k,3k,n", "--algos", "sp", "--trials", "2")
+    assert [row.split(",")[3] for row in rows] == ["20", "30"]
+
+
+def test_bench_trace_runs_each_resolved_q_once(tmp_path):
+    rows = _bench_rows(tmp_path, "--experiment", "trace", "--k-grid", "10",
+                       "--q-list", "2k,3k,n", "--trace-iters", "3")
+    keys = [(int(row.split(",")[2]), int(row.split(",")[0])) for row in rows]
+    assert keys == sorted(set(keys))
+    assert {q for q, _ in keys} == {20, 30}
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_bench_failing_after_the_csv_check_leaves_no_new_file(existing,
                                                               tmp_path, capsys):

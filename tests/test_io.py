@@ -9,6 +9,9 @@ def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "a.txt"
     io.write_matrix(path, a)
     assert np.array_equal(io.read_matrix(path), a)
+    with open(path, "a") as fh:  # trailing blank lines are fine
+        fh.write("\n   \n")
+    assert np.array_equal(io.read_matrix(path), a)
 
 
 def test_vector_roundtrip(tmp_path):
@@ -37,6 +40,9 @@ def test_matrix_parse_errors(tmp_path):
         io.read_matrix(path)
     path.write_text("2\n1 2\n")
     with pytest.raises(io.ParseError, match="header"):
+        io.read_matrix(path)
+    path.write_text("2 2\n1 2\n3 4\n5 5\ngarbage here\n")
+    with pytest.raises(io.ParseError, match=":4:.*found more"):
         io.read_matrix(path)
 
 

@@ -385,6 +385,31 @@ def test_solve_rot_certifies_ill_conditioned_seed4_subproblem(monkeypatch):
         assert converged and kkt <= operators.ROT_TOLERANCE, (converged, kkt)
 
 
+def test_solve_rot_active_set_path_is_pinned(monkeypatch):
+    # steps per ROT solve of three pgrotp runs; their subproblems are strictly
+    # convex (t <= 3k < m), so the counts hang on no rounding, and a change
+    # to the active-set rules shows here first
+    steps = []
+    rot = solvers.solve_rot
+
+    def recording_rot(*args):
+        sol = rot(*args)
+        assert sol.converged
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(solvers, "solve_rot", recording_rot)
+    exp = ExperimentConfig(m=100, n=200, k_grid=(20,), seed=1)
+    expected = [[13, 40, 29, 13], [12, 52, 19], [12, 36, 30]]
+    for trial, counts in enumerate(expected):
+        steps.clear()
+        problem = make_trial_problem(exp, 20, 40, "pgrotp", trial)
+        report = solve(problem, "pgrotp")
+        assert steps == counts, trial
+        np.testing.assert_array_equal(np.flatnonzero(report.final_x),
+                                      np.flatnonzero(problem.truth))
+
+
 @pytest.mark.parametrize("k", [10, 20, 30])
 def test_solve_rot_projects_at_most_once_per_iteration(k, monkeypatch):
     # the active-set steps never project: the one projection per solve is
