@@ -6,8 +6,11 @@ PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
 supp(u): the exact binary one (``optimal_threshold_on_support``) and its
 convex relaxation (``solve_rot``), a boxed least-squares QP with sum k
 over the weights on supp(u) and their total off it, solved exactly by a
-primal active-set method, cold or warm-started from given weights.  Its
-only projection outside a warm start is the certificate of its result.
+primal active-set method, cold or warm-started from given weights.  Where
+the QP is strictly convex, a primal-dual active-set crash first moves the
+start to the partition it finds, and the primal method certifies it.
+Outside a start, given or from the crash, its only projection is the
+certificate of its result.
 ``combination_chunks`` is the one exhaustive enumeration, in bounded chunks
 under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
 ``theory.brute_force_ric``.
@@ -166,9 +169,71 @@ def optimal_threshold_on_support(a, y, u, k: int):
     return w, u * w
 
 
+def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
+    """(w, partitions): a primal-dual active-set crash start for solve_rot's
+    QP, with B^T B = gram of full rank and B^T y = corr (Hintermueller, Ito
+    & Kunisch, SIAM J. Optim. 13(3), 2002).
+
+    The first partition of v = (w, o) is ``bound``, with o at an end of its
+    box if w's sum puts it there to t ulps.  Each iteration minimises f with
+    the bound variables fixed and sum(v) = k, which gives the free weights
+    and the multiplier sigma of the sum, then puts every variable at 0, at
+    its upper end or free by where z = v - (grad f(v) + sigma) / L falls
+    against [0, upper].  It stops when the new partition repeats the last
+    (converged) or an earlier one (cycling), when no weight is free while o
+    is bound, or after ROT_MAX_ITERATIONS iterations.  partitions holds the
+    first partition and the one after each iteration; w is the last point,
+    which may lie outside the box unless the crash converged.
+    """
+    t = gram.shape[0]
+    bound = bound.copy()
+    if upper[t] > 0.0:
+        o, ulps = k - w.sum(), t * np.finfo(float).eps
+        bound[t] = -1 if o <= ulps else 1 if o >= upper[t] - ulps else 0
+        if bound.all():  # the sum and t + 1 bounds are dependent: free one
+            bound[0] = 0
+    partitions = [bound]
+    while len(partitions) <= ROT_MAX_ITERATIONS:
+        at_one = bound[:t] > 0
+        free = np.flatnonzero(bound[:t] == 0)
+        point = at_one.astype(float)
+        rhs = corr[free] - gram[free] @ point
+        o = upper[t] if bound[t] > 0 else 0.0
+        if bound[t] == 0:  # o free: its gradient is 0, so sigma is too
+            sigma = 0.0
+            if free.size:
+                point[free] = np.linalg.solve(gram[np.ix_(free, free)], rhs)
+            o = k - point.sum()
+        elif free.size:
+            # G_FF w_F = rhs - sigma / 2 with sum(w_F) = k - o - |U|: the
+            # bordered system, solved through its Schur complement
+            sol = np.linalg.solve(gram[np.ix_(free, free)],
+                                  np.column_stack((rhs, np.ones(free.size))))
+            half = (sol[:, 0].sum() - (k - o - at_one.sum())) / sol[:, 1].sum()
+            point[free] = sol[:, 0] - half * sol[:, 1]
+            sigma = 2.0 * half
+        else:  # every variable bound: no free weight takes up the sum
+            break
+        w = point
+        z = np.append(w - (2.0 * (gram @ w - corr) + sigma) / lipschitz,
+                      o - sigma / lipschitz)
+        bound = np.where(z <= 0.0, -1, np.where(z >= upper, 1, 0))
+        if upper[t] == 0.0:  # o's box is [0, 0] when t = n
+            bound[t] = -1
+        partitions.append(bound)
+        if any(np.array_equal(bound, seen) for seen in partitions[:-1]):
+            break
+    return w, partitions
+
+
 @dataclass
 class RotSolution:
-    """Result of the relaxed optimal-thresholding quadratic program."""
+    """Result of the relaxed optimal-thresholding quadratic program.
+
+    ``iterations`` counts the crash's iterations and the active-set steps
+    together; ``kkt_residual`` and ``converged`` are the certificate of
+    ``w`` (see ``solve_rot``).
+    """
 
     w: np.ndarray
     objective: float  # ||y - A (w * u)||_2^2
@@ -194,9 +259,18 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     hi if their sum leaves [lo, hi] by more than t ulps, and every one at 0
     or 1 starts in the working set, except the first if all are and t = n.
     The minimiser is the same from either start where the QP is strictly
-    convex (B of full column rank, generically so for t <= q + k < m).  The
-    working set holds sum(v) = k, always, and bounds at 0 or at the upper
-    end; o starts free, unless t = n: its box [0, 0] then holds it for good.
+    convex (B of full column rank, generically so for t <= q + k < m).
+    There, when t <= m and the least singular value of B exceeds 1e-6
+    ||B||_2, the rank bound of the steps below, a primal-dual active-set
+    crash (``_pdas_crash``) runs first from the partition of that start, o
+    at an end of its box if the start's sum puts it there.  Its last point
+    is clipped and projected as a start is, and its partition (o's state
+    only where the partition repeated) is the working set the method starts
+    from.  The crash only moves the start: the steps below decide the
+    certificate.  The working set holds sum(v) = k, always, and bounds at 0
+    or at the upper end; o starts free, unless the crash put it at a bound
+    or t = n: its box [0, 0] then holds it for good.
+
     Each step minimises f over the free variables F with the working set
     fixed: a least-squares step in the columns [B, 0]_F Z, Z = [I; -1^T],
     so the last free variable pays to keep the sum (o while it is free: its
@@ -213,10 +287,11 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     once none is below -L ROT_TOLERANCE / (4 sqrt(t)).  Ties go to the
     lowest index, so o comes after every weight.
 
-    ``iterations`` counts steps, at most ROT_MAX_ITERATIONS.  ``kkt_residual``
-    is the fixed-point residual ||w_S - P(w_S - grad f(w_S) / L)|| of the
-    returned w_S, with P the projection onto the w_S of feasible v (the box
-    [0, 1]^t with lo <= sum(w_S) <= hi) and L = 2 lambda_max(B^T B);
+    ``iterations`` counts the crash's iterations and the steps, at most
+    ROT_MAX_ITERATIONS in all.  ``kkt_residual`` is the fixed-point residual
+    ||w_S - P(w_S - grad f(w_S) / L)|| of the returned w_S, with P the
+    projection onto the w_S of feasible v (the box [0, 1]^t with lo <=
+    sum(w_S) <= hi) and L = 2 lambda_max(B^T B);
     ``converged`` is true only if the method stopped before the cap and that
     residual is <= ROT_TOLERANCE.
     """
@@ -234,7 +309,12 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         return RotSolution(w, float(r @ r), steps, kkt, converged)
 
     w = np.full(t, k / n)  # the restriction of the uniform feasible point
-    lipschitz = 2.0 * gram_lambda_max(b_sub)
+    # for t <= m, B^T B is the Gram matrix gram_lambda_max would form: the
+    # same L, and the crash's rank test and matrix
+    gram = b_sub.T @ b_sub if 0 < t <= y.size else None
+    eigs = None if gram is None else np.linalg.eigvalsh(gram)
+    lipschitz = 2.0 * (gram_lambda_max(b_sub) if gram is None
+                       else float(eigs[-1]))
     if lipschitz <= 0.0 or hi == 0 or lo == t:
         # B = 0 (or empty): every feasible w is optimal; hi = 0 or lo = t:
         # w is the only feasible point
@@ -242,25 +322,47 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
     upper = np.append(np.ones(t), n - t)
     b_ext = np.hstack([b_sub, np.zeros((y.size, 1))])
-    bound = np.zeros(t + 1, dtype=int)  # -1: v_i = 0, +1: v_i = upper_i working
-    bound[t] = -1 if t == n else 0  # o's box is [0, 0] when t = n
-    if start is not None:
-        w = np.asarray(start, dtype=float)[supp].clip(0.0, 1.0)
+    # a free column closer than rank_tol to the span of the free columns
+    # before it counts as dependent; the Cholesky pivots of their Gram matrix
+    # resolve that distance only down to about sqrt(eps) ||B||_2
+    rank_tol = 1e-6 * np.sqrt(0.5 * lipschitz)
+
+    def working_set(w: np.ndarray, o_state: int):
+        """(w, bound) for start weights w on S: clipped to [0, 1], projected
+        onto the capped simplex of sum lo or hi if their sum leaves [lo, hi]
+        by more than t ulps; every weight at 0 or 1 is in the working set, o
+        in o_state (at 0 for good when t = n)."""
+        w = w.clip(0.0, 1.0)
         # a sum off [lo, hi] by rounding alone (t ulps) counts as on it: a
         # projection would move the weights at 1 off their bound
         ulps = t * np.finfo(float).eps
         if not lo - ulps <= w.sum() <= hi + ulps:
             w = project_capped_simplex(w, hi if w.sum() > hi else lo)
+        bound = np.zeros(t + 1, dtype=int)  # -1: v_i = 0, +1: v_i = upper_i
         bound[:t][w == 0.0] = -1
         bound[:t][w == 1.0] = 1
+        bound[t] = -1 if t == n else o_state
         if bound.all():  # the sum and t + 1 bounds are dependent: free one
             bound[0] = 0
+        return w, bound
+
+    if start is None:
+        bound = np.zeros(t + 1, dtype=int)
+        bound[t] = -1 if t == n else 0  # o's box is [0, 0] when t = n
+    else:
+        w, bound = working_set(np.asarray(start, dtype=float)[supp], 0)
+    steps = 0
+    # B of full column rank by the kernel's rank test: the QP is strictly
+    # convex, and every G_FF below has least eigenvalue >= that of B^T B
+    if eigs is not None and eigs[0] > rank_tol**2:
+        w, partitions = _pdas_crash(gram, b_sub.T @ y, w, bound, upper, k,
+                                    lipschitz)
+        steps = len(partitions) - 1
+        # o keeps its state only from a partition that repeated
+        settled = steps > 0 and np.array_equal(partitions[-1], partitions[-2])
+        w, bound = working_set(w, partitions[-1][t] if settled else 0)
     v = np.append(w, 0.0)
     grad = np.zeros(t + 1)  # o moves no residual: its gradient stays 0
-    # a free column closer than rank_tol to the span of the free columns
-    # before it counts as dependent; the Cholesky pivots of their Gram matrix
-    # resolve that distance only down to about sqrt(eps) ||B||_2
-    rank_tol = 1e-6 * np.sqrt(0.5 * lipschitz)
     # multipliers above -slack keep the certificate <= ROT_TOLERANCE / 2: the
     # gradient moves by at most 2 sqrt(t) slack to make w an exact KKT point,
     # and P is nonexpansive
@@ -272,7 +374,7 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     # regular: the last step was a Newton step cut short by a bound on a
     # variable other than the last free one (which pays for s), so the
     # reduced Hessian lost a column and kept the rest
-    steps, at_minimum, regular = 0, False, False
+    at_minimum, regular = False, False
     while True:
         free = np.flatnonzero(bound == 0)
         v[t] = k - v[:t].sum()  # afresh: updates to o would drift by rounding

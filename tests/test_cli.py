@@ -1,10 +1,13 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pgthresh import bench, io, operators, theory
 from pgthresh.cli import _parse_grid, main
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def test_parse_grid():
@@ -296,3 +299,17 @@ def test_bench_invalid_grid(capsys, tmp_path):
 
 def test_unknown_flag_rejected(capsys):
     assert main(["bounds", "--q-over-k", "2", "--bogus"]) == 1
+
+
+@pytest.mark.parametrize("experiment", ["success", "iters"])
+def test_bench_csv_is_byte_identical_to_the_golden_file(experiment, tmp_path):
+    # every ROT-based id and the three baselines on a grid whose rates
+    # vary; a change that moves these bytes says why in CHANGES.md and
+    # rewrites the file.  The trace CSV is left out: its 17-digit
+    # objectives move with the BLAS build's rounding.
+    out = tmp_path / f"{experiment}.csv"
+    assert main(["bench", "--experiment", experiment, "--m", "40",
+                 "--n", "80", "--k-grid", "3,9,15",
+                 "--algos", "pgrot,pgrotp,rot,rotp,iht,omp,sp",
+                 "--trials", "3", "--seed", "7", "--csv", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"seed7_{experiment}.csv").read_bytes()

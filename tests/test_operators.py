@@ -332,6 +332,26 @@ def test_solve_rot_iteration_exhaustion_flagged(monkeypatch):
                 _fixed_point_residual(a, y, u, sol, 5), rel=1e-6)
 
 
+def test_solve_rot_step_cap_counts_the_crash(monkeypatch):
+    # t = n = 20 <= m = 24: the primal-dual crash runs first, and its
+    # iterations count against the cap; caps of one step and one step short
+    for seed in (34, 36):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((24, 20))
+        y = rng.standard_normal(24)
+        u = rng.standard_normal(20)
+        steps = solve_rot(a, y, u, 5).iterations
+        assert steps > 2
+        for max_iterations in (1, steps - 1):
+            monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", max_iterations)
+            sol = solve_rot(a, y, u, 5)
+            assert not sol.converged
+            assert sol.iterations == max_iterations
+            assert abs(sol.w.sum() - 5) <= 1e-9 * 5
+            assert sol.kkt_residual == pytest.approx(
+                _fixed_point_residual(a, y, u, sol, 5), rel=1e-6)
+
+
 @pytest.mark.parametrize("k", [10, 20, 30])
 def test_solve_rot_converges_at_bench_scale(k):
     # first outer PGROTP iteration (x0 = 0, q = 2k) on bench instances; the
@@ -386,9 +406,10 @@ def test_solve_rot_certifies_ill_conditioned_seed4_subproblem(monkeypatch):
 
 
 def test_solve_rot_active_set_path_is_pinned(monkeypatch):
-    # steps per ROT solve of three pgrotp runs; their subproblems are strictly
-    # convex (t <= 3k < m), so the counts hang on no rounding, and a change
-    # to the active-set rules shows here first
+    # steps per ROT solve of three pgrotp runs, crash iterations included; a
+    # change to the crash or active-set rules shows here first.  The counts
+    # may hang on rounding: their subproblems are strictly convex (t <= 3k <
+    # m), but a ratio or sign test can land within rounding of its threshold
     steps = []
     rot = solvers.solve_rot
 
@@ -400,7 +421,7 @@ def test_solve_rot_active_set_path_is_pinned(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_rot", recording_rot)
     exp = ExperimentConfig(m=100, n=200, k_grid=(20,), seed=1)
-    expected = [[13, 40, 29, 13], [12, 52, 19], [12, 36, 30]]
+    expected = [[5, 6, 8, 8], [4, 8, 7], [5, 7, 7]]
     for trial, counts in enumerate(expected):
         steps.clear()
         problem = make_trial_problem(exp, 20, 40, "pgrotp", trial)
@@ -495,6 +516,34 @@ def test_solve_rot_matches_kkt_pattern_oracle(n, k, t):
             _assert_warm_start_matches_cold(a, y, u, k, start, sol)
 
 
+def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
+    # found by search: from the cold start, the crash's partitions return to
+    # an earlier one (period 2), and the kernel goes on from its last point
+    rng = np.random.default_rng(0)
+    t, m, n, k = 4, 5, 5, 2
+    a = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    u = np.zeros(n)
+    u[:t] = rng.standard_normal(t)
+    crashes = []
+    crash = operators._pdas_crash
+
+    def recording_crash(*args):
+        w, partitions = crash(*args)
+        crashes.append(partitions)
+        return w, partitions
+
+    monkeypatch.setattr(operators, "_pdas_crash", recording_crash)
+    sol = solve_rot(a, y, u, k)
+    [partitions] = crashes
+    assert not np.array_equal(partitions[-1], partitions[-2])
+    assert any(np.array_equal(partitions[-1], p) for p in partitions[:-2])
+    assert sol.iterations > len(partitions) - 1  # the kernel took steps too
+    assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+    oracle = _rot_pattern_oracle(a[:, :t] * u[:t], y, max(0, k - (n - t)), k)
+    assert sol.objective == pytest.approx(oracle, abs=1e-10)
+
+
 def _assert_warm_start_matches_cold(a, y, u, k, start, cold):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -549,8 +598,8 @@ def test_solve_rot_rejects_start_of_wrong_length():
             solve_rot(a, np.ones(3), u, 2, np.ones(5))
 
 
-def _duplicated_columns(rng):
-    a = rng.standard_normal((6, 10)) / np.sqrt(6)
+def _duplicated_columns(rng, m=6):
+    a = rng.standard_normal((m, 10)) / np.sqrt(m)
     a[:, 1] = a[:, 0]
     a[:, 5] = -2.0 * a[:, 3]
     u = rng.standard_normal(10)
@@ -559,11 +608,17 @@ def _duplicated_columns(rng):
     return a, u
 
 
+def _tall_duplicated_columns(rng):
+    # t = 9 <= m = 12, but B has rank 7: the primal-dual crash must not run
+    return _duplicated_columns(rng, m=12)
+
+
 def _wide(rng):  # t = 10 > m = 4
     return rng.standard_normal((4, 10)) / 2.0, rng.standard_normal(10)
 
 
-@pytest.mark.parametrize("make", [_duplicated_columns, _wide])
+@pytest.mark.parametrize("make", [_duplicated_columns, _tall_duplicated_columns,
+                                  _wide])
 @pytest.mark.parametrize("k", [2, 5])
 def test_solve_rot_exactly_singular_gram(make, k):
     rng = np.random.default_rng(41 + k)
