@@ -8,6 +8,8 @@ scientific notation accepted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -38,16 +40,16 @@ def read_matrix(path) -> np.ndarray:
         if len(parts) != n:
             raise ParseError(path, i + 2, f"expected {n} entries, found {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise ParseError(path, i + 2, f"non-numeric entry in row {i + 1}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(path, i + 2, f"non-finite entry in row {i + 1}")
+        rows.append(row)
     for i, line in enumerate(lines[m + 1:], start=m + 2):
         if line.strip():
             raise ParseError(path, i, f"expected {m} data rows, found more: {line!r}")
-    a = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ParseError(path, 1, "matrix entries must be finite")
-    return a
+    return np.asarray(rows, dtype=float)
 
 
 def read_vector(path) -> np.ndarray:
@@ -65,8 +67,9 @@ def read_vector(path) -> np.ndarray:
         v = np.asarray([float(t) for t in tokens[1:]], dtype=float)
     except ValueError:
         raise ParseError(path, 1, "non-numeric vector entry") from None
-    if not np.all(np.isfinite(v)):
-        raise ParseError(path, 1, "vector entries must be finite")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ParseError(path, 1, f"non-finite vector entry at index {bad[0]}")
     return v
 
 

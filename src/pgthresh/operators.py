@@ -180,10 +180,12 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
     and the multiplier sigma of the sum, then puts every variable at 0, at
     its upper end or free by where z = v - (grad f(v) + sigma) / L falls
     against [0, upper].  It stops when the new partition repeats the last
-    (converged) or an earlier one (cycling), when no weight is free while o
+    (settled) or an earlier one (cycling), when no weight is free while o
     is bound, or after ROT_MAX_ITERATIONS iterations.  partitions holds the
-    first partition and the one after each iteration; w is the last point,
-    which may lie outside the box unless the crash converged.
+    first partition and the one after each iteration; w is the last point.
+    If the crash settled, w minimises f on the face of that partition, in
+    the box up to rounding, with every bound's multiplier of the sign the
+    partition tested; otherwise it may lie outside the box.
     """
     t = gram.shape[0]
     bound = bound.copy()
@@ -192,22 +194,24 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
         bound[t] = -1 if o <= ulps else 1 if o >= upper[t] - ulps else 0
         if bound.all():  # the sum and t + 1 bounds are dependent: free one
             bound[0] = 0
-    partitions = [bound]
+    partitions, seen = [bound], {bound.tobytes()}
+    z = np.empty(t + 1)
     while len(partitions) <= ROT_MAX_ITERATIONS:
         at_one = bound[:t] > 0
         free = np.flatnonzero(bound[:t] == 0)
         point = at_one.astype(float)
-        rhs = corr[free] - gram[free] @ point
+        gram_f = gram[free]
+        rhs = corr[free] - gram_f @ point
         o = upper[t] if bound[t] > 0 else 0.0
         if bound[t] == 0:  # o free: its gradient is 0, so sigma is too
             sigma = 0.0
             if free.size:
-                point[free] = np.linalg.solve(gram[np.ix_(free, free)], rhs)
+                point[free] = np.linalg.solve(gram_f[:, free], rhs)
             o = k - point.sum()
         elif free.size:
             # G_FF w_F = rhs - sigma / 2 with sum(w_F) = k - o - |U|: the
             # bordered system, solved through its Schur complement
-            sol = np.linalg.solve(gram[np.ix_(free, free)],
+            sol = np.linalg.solve(gram_f[:, free],
                                   np.column_stack((rhs, np.ones(free.size))))
             half = (sol[:, 0].sum() - (k - o - at_one.sum())) / sol[:, 1].sum()
             point[free] = sol[:, 0] - half * sol[:, 1]
@@ -215,14 +219,16 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
         else:  # every variable bound: no free weight takes up the sum
             break
         w = point
-        z = np.append(w - (2.0 * (gram @ w - corr) + sigma) / lipschitz,
-                      o - sigma / lipschitz)
+        z[:t] = w - (2.0 * (gram @ w - corr) + sigma) / lipschitz
+        z[t] = o - sigma / lipschitz
         bound = np.where(z <= 0.0, -1, np.where(z >= upper, 1, 0))
         if upper[t] == 0.0:  # o's box is [0, 0] when t = n
             bound[t] = -1
         partitions.append(bound)
-        if any(np.array_equal(bound, seen) for seen in partitions[:-1]):
+        key = bound.tobytes()
+        if key in seen:
             break
+        seen.add(key)
     return w, partitions
 
 
@@ -266,8 +272,11 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     at an end of its box if the start's sum puts it there.  Its last point
     is clipped and projected as a start is, and its partition (o's state
     only where the partition repeated) is the working set the method starts
-    from.  The crash only moves the start: the steps below decide the
-    certificate.  The working set holds sum(v) = k, always, and bounds at 0
+    from.  If that partition repeated, the crash's last point minimises f on
+    its face, so the method begins at the multiplier test below, not at a
+    step: it stops there at once, or releases a bound and steps on.  The
+    method, not the crash, decides the certificate.  The working set holds
+    sum(v) = k, always, and bounds at 0
     or at the upper end; o starts free, unless the crash put it at a bound
     or t = n: its box [0, 0] then holds it for good.
 
@@ -292,8 +301,8 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     ||w_S - P(w_S - grad f(w_S) / L)|| of the returned w_S, with P the
     projection onto the w_S of feasible v (the box [0, 1]^t with lo <=
     sum(w_S) <= hi) and L = 2 lambda_max(B^T B);
-    ``converged`` is true only if the method stopped before the cap and that
-    residual is <= ROT_TOLERANCE.
+    ``converged`` is true only if the method stopped at its multiplier test,
+    not at the cap, and that residual is <= ROT_TOLERANCE.
     """
     y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
     n, t = u.size, supp.size
@@ -321,7 +330,6 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         return solution(w, 0, 0.0, True)
     # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
     upper = np.append(np.ones(t), n - t)
-    b_ext = np.hstack([b_sub, np.zeros((y.size, 1))])
     # a free column closer than rank_tol to the span of the free columns
     # before it counts as dependent; the Cholesky pivots of their Gram matrix
     # resolve that distance only down to about sqrt(eps) ||B||_2
@@ -352,15 +360,20 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     else:
         w, bound = working_set(np.asarray(start, dtype=float)[supp], 0)
     steps = 0
+    # at_minimum: v minimises f on the working set
+    at_minimum = False
     # B of full column rank by the kernel's rank test: the QP is strictly
     # convex, and every G_FF below has least eigenvalue >= that of B^T B
     if eigs is not None and eigs[0] > rank_tol**2:
         w, partitions = _pdas_crash(gram, b_sub.T @ y, w, bound, upper, k,
                                     lipschitz)
         steps = len(partitions) - 1
-        # o keeps its state only from a partition that repeated
-        settled = steps > 0 and np.array_equal(partitions[-1], partitions[-2])
-        w, bound = working_set(w, partitions[-1][t] if settled else 0)
+        # a repeated partition is the face of its last point, which minimises
+        # f there: the method starts at its multiplier test, and o keeps its
+        # state only from such a partition
+        at_minimum = steps > 0 and np.array_equal(partitions[-1],
+                                                  partitions[-2])
+        w, bound = working_set(w, partitions[-1][t] if at_minimum else 0)
     v = np.append(w, 0.0)
     grad = np.zeros(t + 1)  # o moves no residual: its gradient stays 0
     # multipliers above -slack keep the certificate <= ROT_TOLERANCE / 2: the
@@ -374,12 +387,12 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     # regular: the last step was a Newton step cut short by a bound on a
     # variable other than the last free one (which pays for s), so the
     # reduced Hessian lost a column and kept the rest
-    at_minimum, regular = False, False
+    regular = False
     while True:
         free = np.flatnonzero(bound == 0)
         v[t] = k - v[:t].sum()  # afresh: updates to o would drift by rounding
         r = y - b_sub @ v[:t]
-        if at_minimum:  # v minimises f on the working set
+        if at_minimum:
             grad[:t] = -2.0 * (b_sub.T @ r)
             sigma = -grad[free].mean()  # the multiplier of sum(v) = k
             # o on its box [0, 0] (t = n) never leaves
@@ -393,8 +406,10 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
             continue
         # p_F = Z s keeps the sum: the last free variable pays for s; while
         # o is free it is last, and its zero column leaves the columns B_F
-        cols = b_ext[:, free]
-        cols = cols[:, :-1] - cols[:, -1:]
+        cols = b_sub[:, free[:-1]]
+        o_free = free[-1] == t
+        if not o_free:
+            cols -= b_sub[:, free[-1:]]
         d = cols.shape[1]
         if d == 0:
             at_minimum = True
@@ -429,7 +444,10 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
             p = np.concatenate((s, [-s.sum()]))
         else:  # f is linear along p: grad . p = -2 r . (B p)
             p = null[free, 0]
-            if r @ (b_ext[:, free] @ p) < 0.0:
+            # o's zero column stays in the product: one column fewer rounds
+            # differently, and a slope near 0 could change its sign
+            b_f = np.pad(cols, ((0, 0), (0, 1))) if o_free else b_sub[:, free]
+            if r @ (b_f @ p) < 0.0:
                 p = -p
         v_f = v[free]
         ratio = np.full(free.size, np.inf)

@@ -54,3 +54,19 @@ def test_vector_parse_errors(tmp_path):
     path.write_text("x\n")
     with pytest.raises(io.ParseError):
         io.read_vector(path)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
+def test_matrix_non_finite_entry_names_its_line(entry, tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(f"3 2\n1 2\n3 {entry}\n5 6\n")  # data row 2 is line 3
+    with pytest.raises(io.ParseError, match=r":3: non-finite entry in row 2"):
+        io.read_matrix(path)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
+def test_vector_non_finite_entry_names_its_index(entry, tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text(f"4\n1.0 2.0\n{entry} nan\n")  # the first is index 2
+    with pytest.raises(io.ParseError, match=r"non-finite vector entry at index 2"):
+        io.read_vector(path)

@@ -421,7 +421,7 @@ def test_solve_rot_active_set_path_is_pinned(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_rot", recording_rot)
     exp = ExperimentConfig(m=100, n=200, k_grid=(20,), seed=1)
-    expected = [[5, 6, 8, 8], [4, 8, 7], [5, 7, 7]]
+    expected = [[4, 5, 7, 7], [3, 7, 6], [4, 6, 6]]
     for trial, counts in enumerate(expected):
         steps.clear()
         problem = make_trial_problem(exp, 20, 40, "pgrotp", trial)
@@ -542,6 +542,78 @@ def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
     assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
     oracle = _rot_pattern_oracle(a[:, :t] * u[:t], y, max(0, k - (n - t)), k)
     assert sol.objective == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, k, t", [(7, 3, 5), (9, 4, 3), (6, 2, 6), (10, 3, 7)])
+def test_solve_rot_settled_crash_takes_no_kernel_step(n, k, t, monkeypatch):
+    # a crash that repeats its partition hands the kernel the minimiser of
+    # that face: the multiplier test passes, and no step follows
+    crashes = []
+    crash = operators._pdas_crash
+
+    def recording_crash(*args):
+        w, partitions = crash(*args)
+        crashes.append(partitions)
+        return w, partitions
+
+    monkeypatch.setattr(operators, "_pdas_crash", recording_crash)
+    rng = np.random.default_rng(80 + 10 * n + t)
+    settled = 0
+    for _ in range(6):
+        m = int(rng.integers(t, t + 3))
+        a = rng.standard_normal((m, n)) / np.sqrt(m)
+        y = rng.standard_normal(m)
+        u = np.zeros(n)
+        u[rng.choice(n, size=t, replace=False)] = rng.standard_normal(t)
+        supp = np.flatnonzero(u)
+        oracle = _rot_pattern_oracle(a[:, supp] * u[supp], y,
+                                     max(0, k - (n - t)), min(k, t))
+        for start in (None, rng.uniform(-0.5, 1.5, n)):
+            crashes.clear()
+            sol = solve_rot(a, y, u, k, start)
+            [partitions] = crashes
+            assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+            assert sol.objective == pytest.approx(oracle, abs=1e-10)
+            if np.array_equal(partitions[-1], partitions[-2]):
+                settled += 1
+                assert sol.iterations == len(partitions) - 1
+    assert settled >= 3  # the crash also stops by cycling or binding all
+
+
+def test_solve_rot_releases_a_wrong_face_from_a_settled_crash(monkeypatch):
+    # a crash that settles on the wrong face, w_0 at 0, and returns that
+    # face's exact minimiser: the kernel must release w_0 and step on
+    rng = np.random.default_rng(90)
+    m, n, k = 12, 5, 2
+    a = rng.standard_normal((m, n)) / np.sqrt(m)
+    u = np.ones(n)
+    y = a @ np.full(n, k / n) + 0.01 * rng.standard_normal(m)
+    gram, corr = a.T @ a, a.T @ y
+    # w_0 = 0 and G_FF w_F + sigma / 2 = corr_F with sum(w_F) = k: t = n,
+    # so o's box is [0, 0] and o is bound too
+    kkt = np.ones((n, n))
+    kkt[:-1, :-1] = gram[1:, 1:]
+    kkt[-1, -1] = 0.0
+    face_w = np.append(0.0, np.linalg.solve(kkt, np.append(corr[1:], k))[:-1])
+    assert np.all(face_w[1:] > 0.0) and np.all(face_w[1:] < 1.0)
+    face = np.zeros(n + 1, dtype=int)
+    face[[0, n]] = -1
+    crashes = []
+
+    def wrong_crash(gram, corr, w, bound, upper, k, lipschitz):
+        crashes.append(1)
+        return face_w.copy(), [bound, face, face]
+
+    monkeypatch.setattr(operators, "_pdas_crash", wrong_crash)
+    sol = solve_rot(a, y, u, k)
+    assert crashes == [1]
+    assert sol.iterations > 2  # the crash's two, then the kernel's steps
+    assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+    assert sol.w[0] > 0.0
+    oracle = _rot_pattern_oracle(a, y, k, k)
+    assert sol.objective == pytest.approx(oracle, abs=1e-10)
+    r = y - a @ face_w
+    assert float(r @ r) > oracle + 1e-6  # the wrong face is worse
 
 
 def _assert_warm_start_matches_cold(a, y, u, k, start, cold):

@@ -256,7 +256,7 @@ def test_rot_warm_start_from_previous_step(algo, monkeypatch):
         warm_steps += sum(sol.iterations for _, _, sol in calls)
         cold_steps += sum(sol.iterations for _, _, sol in cold_calls)
     if algo != "pgrotp":
-        # pgrotp's 11 subproblems take 60 steps cold and 62 warm, crash
+        # pgrotp's 11 subproblems take 49 steps cold and 51 warm, crash
         # included: since the crash, its warm start saves no steps here
         assert warm_steps < cold_steps
 
