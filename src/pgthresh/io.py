@@ -54,22 +54,27 @@ def read_matrix(path) -> np.ndarray:
 
 def read_vector(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split()
+        lines = fh.read().splitlines()
+    # (line number, token) for every whitespace-separated token
+    tokens = [(i, t) for i, line in enumerate(lines, start=1) for t in line.split()]
     if not tokens:
         raise ParseError(path, 1, "empty file, expected header 'n'")
+    line, header = tokens[0]
     try:
-        n = int(tokens[0])
+        n = int(header)
     except ValueError:
-        raise ParseError(path, 1, f"expected integer length, got {tokens[0]!r}") from None
+        raise ParseError(path, line, f"expected integer length, got {header!r}") from None
     if len(tokens) - 1 != n:
         raise ParseError(path, 1, f"expected {n} entries, found {len(tokens) - 1}")
-    try:
-        v = np.asarray([float(t) for t in tokens[1:]], dtype=float)
-    except ValueError:
-        raise ParseError(path, 1, "non-numeric vector entry") from None
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise ParseError(path, 1, f"non-finite vector entry at index {bad[0]}")
+    v = np.empty(n)
+    for index, (line, token) in enumerate(tokens[1:]):
+        try:
+            v[index] = float(token)
+        except ValueError:
+            raise ParseError(path, line, f"non-numeric vector entry at index {index}: "
+                             f"{token!r}") from None
+        if not math.isfinite(v[index]):
+            raise ParseError(path, line, f"non-finite vector entry at index {index}")
     return v
 
 

@@ -1,10 +1,13 @@
 """Dense linear-algebra primitives used by the solvers.
 
 ``least_squares_on_support`` is the fit behind the pursuit step of pgrotp
-and the omp / sp baselines.  It solves the normal equations of the support
+and both fits of an sp step.  It solves the normal equations of the support
 when a Cholesky factor of their Gram matrix shows the columns clearly
 independent, and falls back to ``np.linalg.lstsq`` (SVD, minimum-norm
-solution) when they are not.
+solution) when they are not.  omp grows its own inverse Cholesky factor one
+column per step (``solvers._omp``) under the same pivot bound,
+``LSQ_PIVOT_RATIO``, and calls this function from the first step whose
+pivot fails it or whose support outgrows m.
 """
 
 from __future__ import annotations
@@ -69,10 +72,11 @@ def least_squares_on_support(a: np.ndarray, y: np.ndarray,
     Returns the full-length vector z.  ``support`` is a sequence or array
     of integer indices; repeated indices are merged, and indices that are
     not integers or lie outside [0, n) raise ValueError.  The empty support
-    yields the zero vector.  When the support has at most m columns and the smallest Cholesky pivot of their Gram matrix is above
-    ``LSQ_PIVOT_RATIO`` times their largest norm, the normal equations are
-    solved; otherwise (more columns than rows, or columns that are dependent
-    or nearly so) ``np.linalg.lstsq`` gives the minimum-norm solution.
+    yields the zero vector.  When the support has at most m columns and the
+    smallest Cholesky pivot of their Gram matrix is above ``LSQ_PIVOT_RATIO``
+    times their largest norm, the normal equations are solved; otherwise
+    (more columns than rows, or columns that are dependent or nearly so)
+    ``np.linalg.lstsq`` gives the minimum-norm solution.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -71,15 +71,26 @@ def _check_k(k: int, n: int) -> None:
 def hard_threshold(v, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of v, zero the rest.
 
-    Ties in magnitude are broken toward the lower index.
+    Ties in magnitude are broken toward the lower index, and NaN ranks below
+    every number.  ``np.partition`` finds the k-th largest magnitude in
+    linear time; every entry above it is kept, and so are the lowest-index
+    entries equal to it, as many as k allows.  The result is the one a
+    stable sort on -|v| gives, bit for bit.
     """
     v = np.asarray(v, dtype=float)
     _check_k(k, v.size)
-    out = np.zeros_like(v)
-    # stable sort on -|v| keeps the lower index first among equal magnitudes
-    order = np.argsort(-np.abs(v), kind="stable")[:k]
-    out[order] = v[order]
-    return out
+    if k == 0:
+        return np.zeros_like(v)
+    neg = -np.abs(v)
+    kth = np.partition(neg, k - 1)[k - 1]  # partition, like sort, puts NaN last
+    if kth != kth:  # fewer than k numbers: keep them all, then the first NaNs
+        neg[np.isnan(neg)] = np.inf
+        kth = np.inf
+    keep = neg <= kth
+    extra = np.count_nonzero(keep) - k
+    if extra:  # ties at the k-th magnitude: drop the highest-index ones
+        keep[np.flatnonzero(neg == kth)[-extra:]] = False
+    return np.where(keep, v, 0.0)
 
 
 def top_k_support(v, k: int) -> np.ndarray:

@@ -168,14 +168,54 @@ def _iht(problem, cfg):
 
 
 def _omp(problem, cfg):
-    """Orthogonal matching pursuit: one greedy column per step."""
+    """Orthogonal matching pursuit: one greedy column per step.
+
+    The fit on the j selected columns A_T uses W = L^-1, the inverse of the
+    lower Cholesky factor of their Gram matrix, grown by one row per step in
+    O(mj + j^2) (Sturm & Christensen, EUSIPCO 2012): with c = A_T^T a and
+    l = W c, the new pivot is d = sqrt(||a||^2 - ||l||^2), the new row
+    (-l^T W / d, 1/d), and the fit z_T = W^T (W A_T^T y).  Each pivot must
+    stay above the bound ``least_squares_on_support`` puts on its own.  From
+    the first step whose pivot does not, or whose support outgrows m rows,
+    every step calls ``least_squares_on_support``, so a dependent support
+    keeps its minimum-norm answer.
+    """
+    a, y = problem.a, problem.y
+    m, n = a.shape
     support: list[int] = []
+    cols = np.empty((problem.k, m))  # the selected columns, as rows
+    w_inv = np.zeros((problem.k, problem.k))  # W on its leading j x j block
+    cols_y = np.empty(problem.k)  # A_T^T y
+    bound, min_pivot = 0.0, np.inf
+    grown = True
 
     def step(x, g, p, events):
+        nonlocal bound, min_pivot, grown
         corr = np.abs(g)
         corr[support] = -np.inf
-        support.append(int(np.argmax(corr)))  # argmax breaks ties at lowest index
-        return linalg.least_squares_on_support(problem.a, problem.y, support)
+        col_id = int(np.argmax(corr))  # argmax breaks ties at lowest index
+        j = len(support)
+        support.append(col_id)
+        grown = grown and j < m
+        if grown:
+            col = a[:, col_id]
+            w = w_inv[:j, :j]
+            ell = w @ (cols[:j] @ col)
+            sq_norm = col @ col
+            bound = max(bound, linalg.LSQ_PIVOT_RATIO * np.sqrt(sq_norm))
+            pivot = np.sqrt(max(sq_norm - ell @ ell, 0.0))
+            min_pivot = min(min_pivot, pivot)
+            grown = min_pivot > bound
+        if not grown:
+            return linalg.least_squares_on_support(a, y, support)
+        cols[j] = col
+        cols_y[j] = col @ y
+        w_inv[j, :j] = -(ell @ w) / pivot
+        w_inv[j, j] = 1.0 / pivot
+        w = w_inv[:j + 1, :j + 1]
+        z = np.zeros(n)
+        z[support] = w.T @ (w @ cols_y[:j + 1])
+        return z
 
     return step
 

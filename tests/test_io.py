@@ -70,3 +70,20 @@ def test_vector_non_finite_entry_names_its_index(entry, tmp_path):
     path.write_text(f"4\n1.0 2.0\n{entry} nan\n")  # the first is index 2
     with pytest.raises(io.ParseError, match=r"non-finite vector entry at index 2"):
         io.read_vector(path)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("3\n1 2\nx\n", r":3: non-numeric vector entry at index 2: 'x'"),
+    ("3\nx 1 2\n", r":2: non-numeric vector entry at index 0: 'x'"),
+    ("3\n1\n\n\n2 1,5\n", r":5: non-numeric vector entry at index 2: '1,5'"),
+    ("4\n1.0 2.0\nnan 3\n", r":3: non-finite vector entry at index 2"),
+    ("2\n1e999\n-inf\n", r":2: non-finite vector entry at index 0"),
+    # a count mismatch is a property of the whole file and stays on line 1
+    ("3\n1 2 3\n4 inf x\n", r":1: expected 3 entries, found 6"),
+], ids=["non-numeric-line-3", "non-numeric-first", "after-blank-lines",
+        "nan", "overflow", "count-mismatch"])
+def test_vector_entry_error_names_line_and_index(text, expected, tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    with pytest.raises(io.ParseError, match=expected):
+        io.read_vector(path)

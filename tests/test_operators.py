@@ -44,6 +44,39 @@ def test_hard_threshold_is_best_k_sparse_approximation():
         assert np.linalg.norm(v - kept) ** 2 <= best + 1e-12
 
 
+def _stable_sort_threshold(v, k):
+    """The reference selection: the first k of a stable sort on -|v|."""
+    out = np.zeros_like(v)
+    order = np.argsort(-np.abs(v), kind="stable")[:k]
+    out[order] = v[order]
+    return out
+
+
+def _selection_vectors(n, rng):
+    """Vectors of length n that stress the tie rule of hard_threshold."""
+    yield "gaussian", rng.standard_normal(n)
+    # few distinct magnitudes of both signs: ties at the k-th magnitude
+    yield "tied", rng.integers(-3, 4, n) * 0.5
+    sparse = np.zeros(n)
+    sparse[rng.choice(n, size=max(1, n // 8), replace=False)] = 1.5
+    yield "fewer-nonzeros-than-k", sparse * rng.choice([-1.0, 1.0], n)
+    yield "signed-zeros", rng.choice([0.0, -0.0], n)
+    mixed = rng.choice([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf], n)
+    yield "zeros-ones-infs", mixed
+    with_nan = rng.standard_normal(n)
+    with_nan[rng.random(n) < 0.5] = np.nan
+    yield "nan", with_nan
+
+
+@pytest.mark.parametrize("n", [1, 7, 200, 1024])
+def test_hard_threshold_matches_stable_sort(n):
+    rng = np.random.default_rng(n)
+    for name, v in _selection_vectors(n, rng):
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            expected = _stable_sort_threshold(v, k)
+            assert hard_threshold(v, k).tobytes() == expected.tobytes(), (name, k)
+
+
 def test_top_k_support():
     assert list(top_k_support([3, 1, -4, 0], 2)) == [0, 2]
     assert list(top_k_support([0, 0, 5, 0], 3)) == [2]

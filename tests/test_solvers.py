@@ -147,6 +147,120 @@ def test_omp_desk_recovery():
     assert report.termination == RECOVERY
 
 
+def _omp_iterates(problem, steps):
+    """The first ``steps`` omp iterates, by the step of omp's own builder."""
+    step = solvers._omp(problem, SolverConfig())
+    x = np.zeros(problem.n)
+    iterates = []
+    for p in range(steps):
+        x = step(x, problem.a.T @ (problem.y - problem.a @ x), p, [])
+        iterates.append(x)
+    return iterates
+
+
+def _refit_omp_iterates(problem, steps):
+    """The reference: omp that refits its whole support at every step."""
+    x, support, iterates = np.zeros(problem.n), [], []
+    for _ in range(steps):
+        corr = np.abs(problem.a.T @ (problem.y - problem.a @ x))
+        corr[support] = -np.inf
+        support.append(int(np.argmax(corr)))
+        x = least_squares_on_support(problem.a, problem.y, support)
+        iterates.append(x)
+    return iterates
+
+
+def _count_least_squares(monkeypatch):
+    """Record the support of every least_squares_on_support call from solvers."""
+    supports = []
+    fit = solvers.linalg.least_squares_on_support
+
+    def counting(a, y, support):
+        supports.append(list(support))
+        return fit(a, y, support)
+
+    monkeypatch.setattr(solvers.linalg, "least_squares_on_support", counting)
+    return supports
+
+
+@pytest.mark.parametrize("k", [20, 40, 60])
+def test_omp_grown_factor_matches_least_squares_on_wide_instances(k, monkeypatch):
+    # the wide omp instances of the baseline benchmark: m=256, n=1024,
+    # sigma=1e-3, seed 1, trials 0-3
+    cfg = ExperimentConfig(m=256, n=1024, k_grid=(k,), sigma=1e-3, seed=1,
+                           scaling="inv_sqrt_m")
+    calls = _count_least_squares(monkeypatch)
+    for trial in range(4):
+        problem = make_trial_problem(cfg, k, 2 * k, "omp", trial)
+        iterates = _omp_iterates(problem, k)
+        assert not calls  # every step used the grown factor
+        for j, x in enumerate(iterates, start=1):
+            support = np.flatnonzero(x)
+            assert support.size == j
+            ref = least_squares_on_support(problem.a, problem.y, support)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_omp_well_conditioned_solve_makes_no_least_squares_call(monkeypatch):
+    problem = dataclasses.replace(_planted(100, 200, 10, 20, seed=5, sigma=0.1),
+                                  truth=None)
+    calls = _count_least_squares(monkeypatch)
+    report = solve(problem, "omp")
+    assert report.iterations == problem.k
+    assert calls == []
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e3])
+def test_omp_grown_factor_matches_lstsq_on_ill_conditioned_support(kappa,
+                                                                   monkeypatch):
+    # k = n columns with singular values spread over [1/kappa, 1]: omp selects
+    # them all, and its last iterate is the least-squares fit on all of them
+    rng = np.random.default_rng(int(kappa))
+    calls = _count_least_squares(monkeypatch)
+    for m, n in [(40, 12), (30, 30)]:
+        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = (u * np.logspace(0.0, -np.log10(kappa), n)) @ v.T
+        y = rng.standard_normal(m)
+        x = _omp_iterates(ProblemInstance(a, y, k=n, q=n), n)[-1]
+        ref = np.linalg.lstsq(a, y, rcond=None)[0]
+        assert calls == []
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_omp_near_duplicate_column_hands_over_to_least_squares(monkeypatch):
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((20, 6))
+    a[:, 4] = a[:, 1] + 1e-7 * rng.standard_normal(20)
+    y = rng.standard_normal(20)
+    problem = ProblemInstance(a, y, k=6, q=6)
+    calls = _count_least_squares(monkeypatch)
+    iterates = _omp_iterates(problem, 6)
+    # from the step that adds the second of columns 1 and 4, every step fits
+    # with least_squares_on_support, and so returns what a refit returns
+    first = len(calls[0])
+    assert {1, 4} <= set(calls[0]) and calls[0][-1] in (1, 4)
+    assert [len(s) for s in calls] == list(range(first, 7))
+    monkeypatch.undo()
+    reference = _refit_omp_iterates(problem, 6)
+    for x, ref in zip(iterates[first - 1:], reference[first - 1:]):
+        assert x.tobytes() == ref.tobytes()
+
+
+def test_omp_support_beyond_m_rows_hands_over_to_least_squares(monkeypatch):
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((5, 12))
+    y = rng.standard_normal(5)
+    problem = ProblemInstance(a, y, k=8, q=8)
+    calls = _count_least_squares(monkeypatch)
+    iterates = _omp_iterates(problem, 8)
+    assert [len(s) for s in calls] == [6, 7, 8]
+    monkeypatch.undo()
+    reference = _refit_omp_iterates(problem, 8)
+    for x, ref in zip(iterates[5:], reference[5:]):
+        assert x.tobytes() == ref.tobytes()
+
+
 def test_sp_desk_recovery():
     report = solve(_planted(100, 200, 10, 20, seed=3), "sp")
     assert report.termination == RECOVERY
