@@ -11,16 +11,18 @@ the QP is strictly convex, a primal-dual active-set crash first moves the
 start to the partition it finds, and the primal method certifies it.
 Outside a start, given or from the crash, its only projection is the
 certificate of its result.
-``combination_chunks`` is the one exhaustive enumeration, in bounded chunks
-under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
-``theory.brute_force_ric``.
+``subset_levels`` is the one exhaustive enumeration, level by level under
+``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
+``theory.brute_force_ric``: each j-subset is a (j - 1)-subset, its parent,
+with one larger index appended.
 """
 
 from __future__ import annotations
 
-import itertools
+import threading
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +36,8 @@ class ExhaustiveLimitError(ValueError):
 # patterns an exhaustive enumeration (exact OP, brute-force RIC) may visit
 EXHAUSTIVE_LIMIT = 200_000
 
-# floats a caller's per-chunk array may hold: 2**16 floats = 512 KiB
+# floats one batch of brute_force_ric's Gram sub-blocks may hold (2**16
+# floats = 512 KiB), and entries a cached subset level may hold
 CHUNK_FLOATS = 2**16
 
 # solve_rot's certificate bound and active-set step cap
@@ -42,25 +45,94 @@ ROT_TOLERANCE = 1e-8
 ROT_MAX_ITERATIONS = 5000
 
 
-def combination_chunks(t: int, sizes, floats_per_pattern: int):
-    """Yield every j-subset of range(t), for each j in the sequence sizes, as
-    (rows, j) int arrays whose rows are in lexicographic order.
+class SubsetLevel(NamedTuple):
+    """The j-subsets of range(t), one row each, in lexicographic order.
 
-    Raises ExhaustiveLimitError before yielding anything if the subsets
-    number more than EXHAUSTIVE_LIMIT in all.  A chunk has at most
-    CHUNK_FLOATS // floats_per_pattern rows (at least one), so an array of
-    floats_per_pattern floats per row holds at most CHUNK_FLOATS floats.
+    Row i is its parent row parent[i] of level j - 1 with the index last[i],
+    above every index of the parent, appended.  For j >= 2, swap[i] is the
+    row of level j - 1 that is the parent with its own last index replaced by
+    last[i], and pair[i] = t * (the parent's last index) + last[i] is the
+    flat index of that pair in a t x t array.
+    """
+
+    last: np.ndarray
+    parent: np.ndarray
+    swap: np.ndarray
+    pair: np.ndarray
+
+
+# (t, j) -> SubsetLevel, each of at most CHUNK_FLOATS entries, at most
+# 4 * CHUNK_FLOATS in all: the oldest is evicted first
+_LEVELS: dict = {}
+_LEVELS_LOCK = threading.Lock()
+
+
+def subset_levels(t: int, sizes) -> list:
+    """[SubsetLevel for j = 0, 1, ..., max(sizes)]: every subset of range(t)
+    of at most max(sizes) elements, level by level (the empty set first).
+
+    Raises ExhaustiveLimitError before building anything if the subsets of
+    the sizes in ``sizes`` number more than EXHAUSTIVE_LIMIT in all.  A level
+    below max(sizes) is no larger than one in ``sizes`` where max(sizes) +
+    min(sizes) <= t; a caller with larger sizes enumerates their complements.
+    A level whose four arrays fit in CHUNK_FLOATS entries is cached, its
+    arrays read-only, as every level's are.
     """
     total = sum(comb(t, j) for j in sizes)
     if total > EXHAUSTIVE_LIMIT:
         raise ExhaustiveLimitError(
             f"instance too large for exhaustive enumeration: "
             f"{total} patterns > {EXHAUSTIVE_LIMIT}")
-    rows = max(1, CHUNK_FLOATS // max(1, floats_per_pattern))
-    for j in sizes:
-        combos = itertools.combinations(range(t), j)
-        while chunk := list(itertools.islice(combos, rows)):
-            yield np.array(chunk, dtype=int).reshape(len(chunk), j)
+    levels = [SubsetLevel(np.full(1, -1), *np.zeros((3, 1), dtype=np.intp))]
+    for j in range(1, max(sizes) + 1):
+        small = 4 * comb(t, j) <= CHUNK_FLOATS
+        level = _LEVELS.get((t, j)) if small else None
+        if level is None:
+            # each row of the level before has one child per index above
+            # its last, in increasing order: the rows of level j in order
+            prev = levels[-1].last
+            counts = t - 1 - prev
+            parent = np.repeat(np.arange(prev.size), counts)
+            first = np.cumsum(counts) - counts  # each parent's first child
+            above = prev[parent]
+            last = np.arange(parent.size) - first[parent] + above + 1
+            level = SubsetLevel(last, parent, parent + last - above,
+                                above * t + last)
+            for a in level:
+                a.flags.writeable = False
+            if small:
+                with _LEVELS_LOCK:
+                    _LEVELS[t, j] = level
+                    size = sum(4 * lv.last.size for lv in _LEVELS.values())
+                    while size > 4 * CHUNK_FLOATS:
+                        size -= 4 * _LEVELS.pop(next(iter(_LEVELS))).last.size
+        levels.append(level)
+    return levels
+
+
+def _trace(levels: list, rows) -> np.ndarray:
+    """The subsets at ``rows`` of the top level of ``levels``, as an int
+    array of sorted index rows."""
+    rows = np.asarray(rows, dtype=np.intp)
+    out = np.empty((rows.size, len(levels) - 1), dtype=np.intp)
+    for j in range(len(levels) - 1, 0, -1):
+        out[:, j - 1] = levels[j].last[rows]
+        rows = levels[j].parent[rows]
+    return out
+
+
+def subsets(t: int, j: int) -> np.ndarray:
+    """Every j-subset of range(t), in lexicographic order, as an int array
+    of sorted index rows, from ``subset_levels``: for 2 j > t, as the
+    complements of the (t - j)-subsets, whose order is the reverse."""
+    flip = 2 * j > t
+    levels = subset_levels(t, (t - j if flip else j,))
+    rows = _trace(levels, np.arange(levels[-1].last.size))
+    if not flip:
+        return rows
+    keep = np.ones((rows.shape[0], t), dtype=bool)
+    keep[np.arange(rows.shape[0])[:, None], rows] = False
+    return np.nonzero(keep)[1].reshape(rows.shape[0], j)[::-1]
 
 
 def _check_k(k: int, n: int) -> None:
@@ -154,24 +226,57 @@ def optimal_threshold_on_support(a, y, u, k: int):
     {0,1}^n with exactly k ones.
 
     Every support of size lo..hi inside supp(u) (see ``_restrict``) is
-    enumerated in lexicographic order, keeping the first minimiser, and the
-    k ones are completed with the lowest-index zeros of u, so the result is
-    a global minimiser of the full binary problem.  Returns (w, x) with
-    x = u * w.  Raises ExhaustiveLimitError beyond EXHAUSTIVE_LIMIT patterns.
+    scored, and the first minimiser in (size, then lexicographic) order is
+    kept; the k ones are completed with the lowest-index zeros of u, so the
+    result is a global minimiser of the full binary problem.  Returns (w, x)
+    with x = u * w.  Raises ExhaustiveLimitError beyond EXHAUSTIVE_LIMIT
+    patterns.
+
+    The patterns come level by level from ``subset_levels``.  With G = B^T B
+    and c = B^T y, a pattern scores as its parent's objective
+    + (G_nn - 2 c_n) + 2 sum_{i in parent} G_in, n its last index.  That sum
+    is the one of the parent's swap row (see ``SubsetLevel``) + G_ln, l the
+    parent's last index, so a pattern costs O(1).  Where lo + hi > t the
+    complements T of the supports are scored instead, as
+    ||y' + B 1_T||^2 with y' = y - B 1.  The objectives are compared as this
+    Gram expansion rounds them, not as the residual ||y - B 1_S||^2 would.
     """
     y, u, supp, lo, hi, b = _restrict(a, y, u, k)
-    n = u.size
-    best_obj = np.inf
-    best = np.zeros(0, dtype=int)
-    # b[:, block] holds m * hi floats per pattern
-    for block in combination_chunks(supp.size, range(lo, hi + 1), y.size * hi):
-        r = y[:, None] - b[:, block].sum(axis=2)
-        obj = np.einsum("ij,ij->j", r, r)
-        i = int(np.argmin(obj))
-        if obj[i] < best_obj:  # strict: an earlier chunk keeps a tie
-            best_obj = obj[i]
-            best = block[i]
-    chosen = supp[best]
+    n, t = u.size, supp.size
+    flip = lo + hi > t
+    if flip:  # the complements, of sizes t - hi .. t - lo
+        y = y - b.sum(axis=1)
+        sizes = range(t - hi, t - lo + 1)
+    else:
+        sizes = range(lo, hi + 1)
+    levels = subset_levels(t, sizes)
+    gram = b.T @ b
+    lin = gram.diagonal() + (2.0 if flip else -2.0) * (b.T @ y)
+    flat = gram.ravel()
+    obj, cross = np.array([y @ y]), np.zeros(t)
+    best_obj, best = np.inf, (0, 0)
+    for j, level in enumerate(levels):
+        if j:
+            if j > 1:
+                cross = cross[level.swap] + flat[level.pair]
+            obj = obj[level.parent] + lin[level.last] + 2.0 * cross
+        if j not in sizes:
+            continue
+        # the first minimiser in (size, lexicographic) order: complements
+        # come in reverse order, larger ones (smaller supports) later
+        if flip:
+            i = obj.size - 1 - int(np.argmin(obj[::-1]))
+            if obj[i] <= best_obj:
+                best_obj, best = obj[i], (j, i)
+        else:
+            i = int(np.argmin(obj))
+            if obj[i] < best_obj:
+                best_obj, best = obj[i], (j, i)
+    j, i = best
+    chosen = _trace(levels[: j + 1], [i])[0]
+    if flip:
+        chosen = np.setdiff1d(np.arange(t), chosen)
+    chosen = supp[chosen]
     w = np.zeros(n)
     w[chosen] = 1.0
     if chosen.size < k:

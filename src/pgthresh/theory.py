@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .operators import combination_chunks
+from . import operators
 from .solvers import pgot_step
 
 _GOLDEN = (sqrt(5.0) + 1.0) / 2.0
@@ -149,18 +149,23 @@ def contraction_constants(ric: RicTriple, q: int, k: int,
 def brute_force_ric(a, s: int) -> float:
     """Exact s-th order restricted isometry constant by subset enumeration.
 
-    delta_s = max over |S| = s of || A_S^T A_S - I ||_2.  Raises
+    delta_s = max over |S| = s of || A_S^T A_S - I ||_2, with every S from
+    ``operators.subsets`` and the Gram sub-blocks' eigenvalues taken in
+    batches of at most operators.CHUNK_FLOATS floats.  Raises
     ExhaustiveLimitError when C(n, s) > EXHAUSTIVE_LIMIT.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
     if not 1 <= s <= n:
         raise ValueError(f"s={s} must be in [1, {n}]")
+    rows = operators.subsets(n, s)
     gram = a.T @ a
     eye = np.eye(s)
     delta = 0.0
     # the Gram sub-blocks hold s * s floats per pattern
-    for chunk in combination_chunks(n, (s,), s * s):
+    step = max(1, operators.CHUNK_FLOATS // (s * s))
+    for lo in range(0, rows.shape[0], step):
+        chunk = rows[lo: lo + step]
         subs = gram[chunk[:, :, None], chunk[:, None, :]] - eye
         eigs = np.linalg.eigvalsh(subs)
         delta = max(delta, float(np.max(np.abs(eigs))))

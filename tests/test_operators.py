@@ -1,5 +1,6 @@
 import ast
 import itertools
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -141,7 +142,7 @@ def test_exact_optimal_threshold_matches_brute_force(padded, monkeypatch):
         r = y - a @ x
         best = _binary_optimum(a, y, u, k)
         assert float(r @ r) <= best + 1e-10 * max(1.0, best)
-        with monkeypatch.context() as patch:  # one or two patterns a chunk
+        with monkeypatch.context() as patch:  # small levels built, not cached
             patch.setattr(operators, "CHUNK_FLOATS", 2 * m)
             assert exact_optimal_threshold(a, y, u, k)[0].tobytes() == w.tobytes()
 
@@ -169,7 +170,7 @@ def test_exact_optimal_threshold_ties_keep_first_minimiser(chunk_floats,
                                                            monkeypatch):
     # duplicated integer columns and integer u, y: every objective is an
     # exact integer, so tied patterns tie exactly; a budget of a few floats
-    # (None: the default) spreads one enumeration over many chunks
+    # (None: the default) builds each level afresh instead of from the cache
     if chunk_floats is not None:
         monkeypatch.setattr(operators, "CHUNK_FLOATS", chunk_floats)
     rng = np.random.default_rng(43)
@@ -187,12 +188,95 @@ def test_exact_optimal_threshold_ties_keep_first_minimiser(chunk_floats,
         assert np.array_equal(x, u * w)
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_exact_optimal_threshold_tie_across_sizes_keeps_smaller_support(n):
+    # column 0 of A is zero, so a support and the same support with 0 added
+    # tie exactly; n = 5 (lo + hi > t) scores the complements instead
+    a = np.zeros((3, n))
+    a[:, 1:4] = np.eye(3)
+    a[:, 4:] = 1.0
+    u = np.zeros(n)
+    u[:4] = 1.0
+    w, _ = exact_optimal_threshold(a, [1.0, 1.0, 1.0], u, 4)
+    assert w.tolist() == [0, 1, 1, 1, 1] + [0] * (n - 5)
+    assert w.tobytes() == _first_minimiser(a, np.ones(3), u, 4).tobytes()
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_exact_optimal_threshold_matches_residual_loop(planted):
+    # float data: the Gram expansion rounds each objective differently from
+    # the residual loop, yet keeps the same w.  planted: u = x* plus
+    # off-support entries of 1e-4 .. 1e-13 and y = A x*, so the best
+    # objective is near 0, where the expansion loses the most digits
+    rng = np.random.default_rng(47 + planted)
+    for trial in range(24):
+        t = int(rng.integers(1, 16))
+        k = int(rng.integers(1, min(6, t) + 1))
+        n = t + int(rng.integers(0, 3))  # n = t or close: lo > 0, complements
+        m = int(rng.integers(4, 20))
+        a = rng.standard_normal((m, n)) / np.sqrt(m)
+        supp = rng.choice(n, size=t, replace=False)
+        u = np.zeros(n)
+        if planted:
+            u[supp[:k]] = rng.standard_normal(k)
+            y = a @ u
+            u[supp[k:]] = (rng.choice([-1.0, 1.0], size=t - k)
+                           * 10.0 ** -rng.integers(4, 14, size=t - k))
+        else:
+            u[supp] = rng.standard_normal(t)
+            y = rng.standard_normal(m)
+        w, _ = exact_optimal_threshold(a, y, u, k)
+        assert w.tobytes() == _first_minimiser(a, y, u, k).tobytes(), (trial, t, k)
+
+
+def test_exact_optimal_threshold_memory_at_widest_level():
+    # t = n = 20, k = 10: the 184 756 patterns of level 10 and every level
+    # below it, whose tables the enumeration holds at once
+    rng = np.random.default_rng(53)
+    a = rng.standard_normal((30, 20)) / np.sqrt(30)
+    u = rng.standard_normal(20)
+    y = rng.standard_normal(30)
+    tracemalloc.start()
+    try:
+        w, _ = exact_optimal_threshold(a, y, u, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(w) == 10
+    assert peak < 64 * 2**20
+
+
+def test_subset_levels_enumerate_lexicographically():
+    for t in range(8):
+        levels = operators.subset_levels(t, range(t + 1))
+        for j, level in enumerate(levels):
+            combos = [list(c) for c in itertools.combinations(range(t), j)]
+            assert operators.subsets(t, j).tolist() == combos
+            if j:  # each row is its parent row with its last index appended
+                parents = [list(c) for c in itertools.combinations(range(t), j - 1)]
+                assert [parents[p] + [e] for p, e in
+                        zip(level.parent, level.last)] == combos
+                assert not level.last.flags.writeable
+
+
+def test_subset_level_cache_is_bounded(monkeypatch):
+    # only levels whose four arrays fit in CHUNK_FLOATS entries are cached,
+    # and at most 4 * CHUNK_FLOATS entries in all
+    monkeypatch.setattr(operators, "CHUNK_FLOATS", 64)
+    monkeypatch.setattr(operators, "_LEVELS", {})
+    for t in range(1, 14):
+        operators.subset_levels(t, range(t // 2 + 1))
+    sizes = [4 * level.last.size for level in operators._LEVELS.values()]
+    assert sizes and max(sizes) <= 64 and sum(sizes) <= 4 * 64
+
+
 def test_one_exhaustive_enumeration_in_src():
-    # the exact OP and the brute-force RIC share operators.combination_chunks:
-    # it alone calls itertools.combinations, compares with EXHAUSTIVE_LIMIT
-    # and raises ExhaustiveLimitError
+    # the exact OP and the brute-force RIC share operators.subset_levels: it
+    # alone builds patterns (itertools.combinations, or np.repeat to expand
+    # each level's parents), compares with EXHAUSTIVE_LIMIT and raises
+    # ExhaustiveLimitError
     src = Path(operators.__file__).parent
-    sites = {"combinations": [], "EXHAUSTIVE_LIMIT": [],
+    sites = {"patterns": [], "EXHAUSTIVE_LIMIT": [],
              "ExhaustiveLimitError": []}
 
     def visit(node, where):
@@ -201,8 +285,9 @@ def test_one_exhaustive_enumeration_in_src():
                      if isinstance(child, (ast.FunctionDef, ast.ClassDef))
                      else where)
             if (isinstance(child, ast.Call)
-                    and ast.unparse(child.func).split(".")[-1] == "combinations"):
-                sites["combinations"].append(inner)
+                    and ast.unparse(child.func).split(".")[-1]
+                    in ("combinations", "repeat")):
+                sites["patterns"].append(inner)
             if isinstance(child, ast.Compare) and any(
                     isinstance(n, ast.Name) and n.id == "EXHAUSTIVE_LIMIT"
                     for n in ast.walk(child)):
@@ -215,8 +300,8 @@ def test_one_exhaustive_enumeration_in_src():
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    helper = ["operators.combination_chunks"]
-    assert sites == {"combinations": helper, "EXHAUSTIVE_LIMIT": helper,
+    helper = ["operators.subset_levels"]
+    assert sites == {"patterns": helper, "EXHAUSTIVE_LIMIT": helper,
                      "ExhaustiveLimitError": helper}
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,18 @@ def test_brute_force_ric_independent_of_chunk_size(chunk_floats, monkeypatch):
     default = [brute_force_ric(a, s) for s in (1, 2, 3, 9)]
     monkeypatch.setattr(operators, "CHUNK_FLOATS", chunk_floats)
     assert [brute_force_ric(a, s) for s in (1, 2, 3, 9)] == default
+
+
+@pytest.mark.parametrize("m,n,s", [(6, 9, 1), (6, 9, 3), (8, 12, 6),
+                                   (6, 11, 7), (5, 9, 9)])
+def test_brute_force_ric_matches_per_subset_loop(m, n, s):
+    # s > n / 2 takes the complements of the (n - s)-subsets
+    a = np.random.default_rng(11 + s).standard_normal((m, n)) / np.sqrt(m)
+    gram = a.T @ a
+    expect = max(float(np.max(np.abs(np.linalg.eigvalsh(
+        gram[np.ix_(sub, sub)] - np.eye(s)))))
+        for sub in itertools.combinations(range(n), s))
+    assert brute_force_ric(a, s) == expect
 
 
 def test_brute_force_ric_limit_guard():
