@@ -58,6 +58,9 @@ class ExperimentConfig:
             raise ValueError(f"scaling must be one of {SCALINGS}")
         if self.trials < 1 or self.threads < 1:
             raise ValueError("trials and threads must be positive")
+        if self.trace_iterations < 1:
+            raise ValueError(
+                f"trace_iterations={self.trace_iterations} must be positive")
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
 supp(u): the exact binary one (``optimal_threshold_on_support``) and its
 convex relaxation (``solve_rot``), a boxed least-squares QP with sum k
 over the weights on supp(u) and their total off it, solved exactly by a
-primal active-set method, cold or warm-started from given weights.  Where
-the QP is strictly convex, a primal-dual active-set crash first moves the
-start to the partition it finds, and the primal method certifies it.
-Outside a start, given or from the crash, its only projection is the
-certificate of its result.
+primal active-set method from the uniform weights k / n or from given
+ones.  Where the QP is strictly convex, a primal-dual active-set crash first
+moves the start to the partition it finds, and the primal method certifies
+it.  One clip-then-project helper puts each start, cold, given or from the
+crash, in the feasible set and gives the certificate of the result; the
+steps never project.
 ``subset_levels`` is the one exhaustive enumeration, level by level under
 ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
 ``theory.brute_force_ric``: each j-subset is a (j - 1)-subset, its parent,
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import gram_lambda_max
+from .model import as_vector
 
 
 class ExhaustiveLimitError(ValueError):
@@ -180,7 +181,7 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
     and v; it is evaluated at all 2n sorted breakpoints in one vectorised
     pass, and theta is interpolated on the segment that brackets k.
     """
-    v = np.asarray(v, dtype=float)
+    v = as_vector(v, name="v")
     n = v.size
     _check_k(k, n)
     if k == 0:
@@ -290,8 +291,8 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
     QP, with B^T B = gram of full rank and B^T y = corr (Hintermueller, Ito
     & Kunisch, SIAM J. Optim. 13(3), 2002).
 
-    The first partition of v = (w, o) is ``bound``, with o at an end of its
-    box if w's sum puts it there to t ulps.  Each iteration minimises f with
+    The first partition of v = (w, o) is ``bound``, o's state included,
+    which the crash does not modify.  Each iteration minimises f with
     the bound variables fixed and sum(v) = k, which gives the free weights
     and the multiplier sigma of the sum, then puts every variable at 0, at
     its upper end or free by where z = v - (grad f(v) + sigma) / L falls
@@ -304,12 +305,6 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
     partition tested; otherwise it may lie outside the box.
     """
     t = gram.shape[0]
-    bound = bound.copy()
-    if upper[t] > 0.0:
-        o, ulps = k - w.sum(), t * np.finfo(float).eps
-        bound[t] = -1 if o <= ulps else 1 if o >= upper[t] - ulps else 0
-        if bound.all():  # the sum and t + 1 bounds are dependent: free one
-            bound[0] = 0
     partitions, seen = [bound], {bound.tobytes()}
     z = np.empty(t + 1)
     while len(partitions) <= ROT_MAX_ITERATIONS:
@@ -375,26 +370,27 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     entry off S the share o / (n - t), clipped to [0, 1].
 
     Primal active-set method (Nocedal & Wright, Numerical Optimization,
-    2nd ed., Alg. 16.3) from w_S = k / n, or from ``start``, a length-n
-    weight vector (say the previous outer step's weights): its entries on S
-    are clipped to [0, 1], projected onto the capped simplex of sum lo or
-    hi if their sum leaves [lo, hi] by more than t ulps, and every one at 0
-    or 1 starts in the working set, except the first if all are and t = n.
+    2nd ed., Alg. 16.3) from w_S = k / n, or from ``start``, a finite
+    length-n weight vector (say the previous outer step's weights; anything
+    else raises ValueError).  Every start, and the crash's last point below,
+    takes one path: its entries on S are clipped to [0, 1], or, if that sum
+    leaves [lo, hi] by more than t ulps, projected unclipped onto the capped
+    simplex of sum lo or hi; every one at 0 or 1 starts in the working set,
+    except the first if all are and o is bound too.
     The minimiser is the same from either start where the QP is strictly
     convex (B of full column rank, generically so for t <= q + k < m).
-    There, when t <= m and the least singular value of B exceeds 1e-6
-    ||B||_2, the rank bound of the steps below, a primal-dual active-set
+    There, when t <= m and the least eigenvalue of B^T B exceeds (1e-6
+    ||B||_2)^2, the rank bound of the steps below, a primal-dual active-set
     crash (``_pdas_crash``) runs first from the partition of that start, o
-    at an end of its box if the start's sum puts it there.  Its last point
-    is clipped and projected as a start is, and its partition (o's state
-    only where the partition repeated) is the working set the method starts
-    from.  If that partition repeated, the crash's last point minimises f on
-    its face, so the method begins at the multiplier test below, not at a
-    step: it stops there at once, or releases a bound and steps on.  The
-    method, not the crash, decides the certificate.  The working set holds
-    sum(v) = k, always, and bounds at 0
-    or at the upper end; o starts free, unless the crash put it at a bound
-    or t = n: its box [0, 0] then holds it for good.
+    at an end of its box if the start's sum puts it there to t ulps.  Its
+    last point starts the method, and its partition (o's state only where
+    the partition repeated) is the first working set.  If that partition
+    repeated, the crash's last point minimises f on its face, so the method
+    begins at the multiplier test below, not at a step: it stops there at
+    once, or releases a bound and steps on.  The method, not the crash,
+    decides the certificate.  The working set holds sum(v) = k, always, and
+    bounds at 0 or at the upper end; o starts free, unless the crash put it
+    at a bound or t = n: its box [0, 0] then holds it for good.
 
     Each step minimises f over the free variables F with the working set
     fixed: a least-squares step in the columns [B, 0]_F Z, Z = [I; -1^T],
@@ -416,14 +412,14 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     ROT_MAX_ITERATIONS in all.  ``kkt_residual`` is the fixed-point residual
     ||w_S - P(w_S - grad f(w_S) / L)|| of the returned w_S, with P the
     projection onto the w_S of feasible v (the box [0, 1]^t with lo <=
-    sum(w_S) <= hi) and L = 2 lambda_max(B^T B);
+    sum(w_S) <= hi), and L = 2 lambda_max(B^T B), from one ``eigvalsh`` of
+    the smaller of B^T B and B B^T, which share their nonzero eigenvalues;
     ``converged`` is true only if the method stopped at its multiplier test,
     not at the cap, and that residual is <= ROT_TOLERANCE.
     """
     y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
     n, t = u.size, supp.size
-    if start is not None and np.shape(start) != (n,):
-        raise ValueError(f"start has shape {np.shape(start)}, expected ({n},)")
+    start = np.full(n, k / n) if start is None else as_vector(start, n, "start")
 
     def solution(w_s: np.ndarray, steps: int, kkt: float,
                  converged: bool) -> RotSolution:
@@ -434,15 +430,13 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         return RotSolution(w, float(r @ r), steps, kkt, converged)
 
     w = np.full(t, k / n)  # the restriction of the uniform feasible point
-    # for t <= m, B^T B is the Gram matrix gram_lambda_max would form: the
-    # same L, and the crash's rank test and matrix
-    gram = b_sub.T @ b_sub if 0 < t <= y.size else None
-    eigs = None if gram is None else np.linalg.eigvalsh(gram)
-    lipschitz = 2.0 * (gram_lambda_max(b_sub) if gram is None
-                       else float(eigs[-1]))
-    if lipschitz <= 0.0 or hi == 0 or lo == t:
-        # B = 0 (or empty): every feasible w is optimal; hi = 0 or lo = t:
-        # w is the only feasible point
+    if hi == 0 or lo == t:  # w, all 0 or all 1, is the only feasible point
+        return solution(w, 0, 0.0, True)
+    # B^T B where t <= m: the crash's rank test and matrix too
+    gram = b_sub.T @ b_sub if t <= y.size else b_sub @ b_sub.T
+    eigs = np.linalg.eigvalsh(gram)
+    lipschitz = 2.0 * float(eigs.max(initial=0.0))  # B with no rows: 0
+    if lipschitz <= 0.0:  # B = 0: every feasible w is optimal
         return solution(w, 0, 0.0, True)
     # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
     upper = np.append(np.ones(t), n - t)
@@ -450,37 +444,46 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     # before it counts as dependent; the Cholesky pivots of their Gram matrix
     # resolve that distance only down to about sqrt(eps) ||B||_2
     rank_tol = 1e-6 * np.sqrt(0.5 * lipschitz)
+    # B of full column rank by the kernel's rank test: the QP is strictly
+    # convex, and every G_FF below has least eigenvalue >= that of B^T B
+    crash = t <= y.size and eigs[0] > rank_tol**2
+    ulps = t * np.finfo(float).eps
 
-    def working_set(w: np.ndarray, o_state: int):
-        """(w, bound) for start weights w on S: clipped to [0, 1], projected
-        onto the capped simplex of sum lo or hi if their sum leaves [lo, hi]
-        by more than t ulps; every weight at 0 or 1 is in the working set, o
-        in o_state (at 0 for good when t = n)."""
-        w = w.clip(0.0, 1.0)
+    def feasible(v: np.ndarray, slack: float) -> np.ndarray:
+        """v clipped to [0, 1]^t, or projected onto the capped simplex of sum
+        lo or hi if that sum leaves [lo, hi] by more than slack: with slack
+        0, the projection P onto the feasible w_S."""
+        clipped = v.clip(0.0, 1.0)
+        if not lo - slack <= clipped.sum() <= hi + slack:
+            return project_capped_simplex(v, hi if clipped.sum() > hi else lo)
+        return clipped
+
+    def working_set(w: np.ndarray, o_state):
+        """(w, bound) for start weights w on S, made feasible; every weight
+        at 0 or 1 is in the working set, o in o_state, or at an end of its
+        box where o_state is None and w's sum puts it there to t ulps (at 0
+        for good when t = n)."""
         # a sum off [lo, hi] by rounding alone (t ulps) counts as on it: a
         # projection would move the weights at 1 off their bound
-        ulps = t * np.finfo(float).eps
-        if not lo - ulps <= w.sum() <= hi + ulps:
-            w = project_capped_simplex(w, hi if w.sum() > hi else lo)
+        w = feasible(w, ulps)
         bound = np.zeros(t + 1, dtype=int)  # -1: v_i = 0, +1: v_i = upper_i
         bound[:t][w == 0.0] = -1
         bound[:t][w == 1.0] = 1
+        if o_state is None:
+            o = k - w.sum()
+            o_state = -1 if o <= ulps else 1 if o >= n - t - ulps else 0
         bound[t] = -1 if t == n else o_state
         if bound.all():  # the sum and t + 1 bounds are dependent: free one
             bound[0] = 0
         return w, bound
 
-    if start is None:
-        bound = np.zeros(t + 1, dtype=int)
-        bound[t] = -1 if t == n else 0  # o's box is [0, 0] when t = n
-    else:
-        w, bound = working_set(np.asarray(start, dtype=float)[supp], 0)
+    # the crash takes o's first state from the start's sum; the method alone
+    # starts with o free
+    w, bound = working_set(start[supp], None if crash else 0)
     steps = 0
     # at_minimum: v minimises f on the working set
     at_minimum = False
-    # B of full column rank by the kernel's rank test: the QP is strictly
-    # convex, and every G_FF below has least eigenvalue >= that of B^T B
-    if eigs is not None and eigs[0] > rank_tol**2:
+    if crash:
         w, partitions = _pdas_crash(gram, b_sub.T @ y, w, bound, upper, k,
                                     lipschitz)
         steps = len(partitions) - 1
@@ -590,11 +593,5 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     w = v[:t]
 
     grad = -2.0 * (b_sub.T @ (y - b_sub @ w))
-    v = w - grad / lipschitz
-    proj = v.clip(0.0, 1.0)
-    if proj.sum() > hi:
-        proj = project_capped_simplex(v, hi)
-    elif proj.sum() < lo:
-        proj = project_capped_simplex(v, lo)
-    kkt = float(np.linalg.norm(w - proj))
+    kkt = float(np.linalg.norm(w - feasible(w - grad / lipschitz, 0.0)))
     return solution(w, steps, kkt, at_minimum and kkt <= ROT_TOLERANCE)

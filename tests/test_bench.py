@@ -84,6 +84,11 @@ def test_experiment_config_validation():
         ExperimentConfig(m=10, n=20, k_grid=(2,), sigma=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, n=20, k_grid=(2,), scaling="weird")
+    for iterations in (0, -3):
+        with pytest.raises(ValueError,
+                           match=f"trace_iterations={iterations} "):
+            ExperimentConfig(m=10, n=20, k_grid=(2,),
+                             trace_iterations=iterations)
 
 
 def test_experiment_config_rejects_unknown_algorithm():

@@ -231,6 +231,21 @@ def test_bench_trace_rejects_other_algorithms_and_k(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("iterations", ["0", "-3"])
+def test_bench_trace_rejects_nonpositive_trace_iters(iterations, tmp_path,
+                                                     capsys):
+    # the message names the setting the user gave, not the solver's own
+    out = tmp_path / "t.csv"
+    code = main(["bench", "--experiment", "trace", "--m", "20", "--n", "40",
+                 "--k-grid", "2", "--seed", "3", "--trace-iters", iterations,
+                 "--csv", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"trace_iterations={iterations} must be positive" in err
+    assert "max_iterations" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, flag, value", [
     ("trace", "--trials", "7"),  # the trace runs trial 0 only
     ("success", "--trace-iters", "5"),

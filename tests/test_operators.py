@@ -346,11 +346,42 @@ def test_projection_examples():
     assert np.allclose(project_capped_simplex([0.9, 0.5, 0.1], 1), [0.7, 0.3, 0.0])
 
 
+def test_one_feasible_set_projection_in_operators():
+    # solve_rot's start, the crash's last point and the certificate share one
+    # clip-then-project helper; L comes from solve_rot's own eigvalsh, so
+    # operators imports nothing from linalg
+    tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{where}.{child.name}"
+                     if isinstance(child, ast.FunctionDef) else where)
+            if (isinstance(child, ast.Call)
+                    and ast.unparse(child.func) == "project_capped_simplex"):
+                sites.append(inner)
+            visit(child, inner)
+
+    visit(tree, "operators")
+    assert sorted(set(sites)) == ["operators.solve_rot.feasible"]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "linalg"]
+
+
 def test_projection_rejects_bad_k():
     with pytest.raises(ValueError):
         project_capped_simplex([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         project_capped_simplex([1.0, 2.0], -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="v entries must be finite"):
+            project_capped_simplex(np.array([0.2, bad, 0.5, 0.1]), 2)
 
 
 def test_projection_matches_kkt_oracle():
@@ -781,11 +812,55 @@ def test_solve_rot_restarted_at_its_minimiser_takes_at_most_two_steps():
         assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
 
 
+def test_solve_rot_projects_an_out_of_range_start_unclipped(monkeypatch):
+    # the clipped start sums to 5 > hi = 3: the start is projected as the
+    # certificate projects, from its entries before the clip
+    calls = []
+    project = operators.project_capped_simplex
+
+    def recording_project(v, total):
+        calls.append((v.copy(), total))
+        return project(v, total)
+
+    monkeypatch.setattr(operators, "project_capped_simplex", recording_project)
+    rng = np.random.default_rng(61)
+    n, k, t = 7, 3, 5
+    for m in (t + 1, t - 1):  # with the crash, and without it
+        a = rng.standard_normal((m, n)) / np.sqrt(m)
+        y = rng.standard_normal(m)
+        u = np.zeros(n)
+        u[:t] = rng.standard_normal(t)
+        start = np.array([2.0, 1.0, 0.9, 3.0, 1.5, 0.8, 4.0])
+        calls.clear()
+        sol = solve_rot(a, y, u, k, start)
+        v, total = calls[0]
+        np.testing.assert_array_equal(v, start[:t])
+        assert total == k
+        assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+
+
 def test_solve_rot_rejects_start_of_wrong_length():
     a = np.ones((3, 6))
     for u in (np.ones(6), np.zeros(6)):  # also where the start goes unused
         with pytest.raises(ValueError, match="start"):
             solve_rot(a, np.ones(3), u, 2, np.ones(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("m", [60, 30])
+def test_solve_rot_rejects_non_finite_start(bad, m):
+    # n = 40 and a dense u: t = 40 <= m = 60 runs the crash, t > m = 30 does
+    # not; both check the start before they use it
+    rng = np.random.default_rng(100 + m)
+    a = rng.standard_normal((m, 40))
+    y = rng.standard_normal(m)
+    u = rng.standard_normal(40)
+    start = np.full(40, 5 / 40)
+    start[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="start entries must be finite"):
+            solve_rot(a, y, u, 5, start)
 
 
 def _duplicated_columns(rng, m=6):

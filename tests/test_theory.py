@@ -85,6 +85,10 @@ def test_contraction_constants_at_zero_deltas():
     assert pgrot_c.rho == 0.0
     assert pgrot_c.tau == pytest.approx(
         ((3 + np.sqrt(5)) / 2) * 9 + np.sqrt(5) + 1, abs=1e-6)
+    pgrotp_c = contraction_constants(zero, 2, 1, "pgrotp")
+    assert pgrotp_c.rho == 0.0
+    assert pgrotp_c.tau == pytest.approx(
+        ((3 + np.sqrt(5)) / 2) * 9 + np.sqrt(5) + 2, abs=1e-9)
 
 
 def test_pgot_root_is_the_rho_equals_one_point():
@@ -92,6 +96,14 @@ def test_pgot_root_is_the_rho_equals_one_point():
         root = pgot_root_bound(q, 1)
         cc = contraction_constants(RicTriple(root, root, root), q, 1, "pgot")
         assert cc.rho == pytest.approx(1.0, abs=1e-3)
+
+
+def test_pgrotp_bound_is_the_rho_equals_one_point():
+    for q in (2, 3, 4):
+        bound = pgrotp_bound(q, 1)
+        cc = contraction_constants(RicTriple(bound, bound, bound), q, 1,
+                                   "pgrotp")
+        assert cc.rho == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_brackets_one_around_the_root():
