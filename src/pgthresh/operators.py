@@ -8,10 +8,11 @@ convex relaxation (``solve_rot``), a boxed least-squares QP with sum k
 over the weights on supp(u) and their total off it, solved exactly by a
 primal active-set method from the uniform weights k / n or from given
 ones.  Where the QP is strictly convex, a primal-dual active-set crash first
-moves the start to the partition it finds, and the primal method certifies
-it.  One clip-then-project helper puts each start, cold, given or from the
-crash, in the feasible set and gives the certificate of the result; the
-steps never project.
+moves the start to the partition it finds, and the primal method finishes
+from there.  The certificate is the Frank-Wolfe gap of the result, an upper
+bound on its objective gap from one sort of the gradient; the kernel takes
+no eigendecomposition.  Only the starts, cold, given or from the crash, are
+projected onto the feasible set; the steps and the certificate never are.
 ``subset_levels`` is the one exhaustive enumeration, level by level under
 ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
 ``theory.brute_force_ric``: each j-subset is a (j - 1)-subset, its parent,
@@ -41,7 +42,8 @@ EXHAUSTIVE_LIMIT = 200_000
 # floats = 512 KiB), and entries a cached subset level may hold
 CHUNK_FLOATS = 2**16
 
-# solve_rot's certificate bound and active-set step cap
+# solve_rot's certificate bound, relative to ||y||^2, and its active-set
+# step cap
 ROT_TOLERANCE = 1e-8
 ROT_MAX_ITERATIONS = 5000
 
@@ -179,7 +181,10 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
     sum(clamp(v - theta, 0, 1)) = k (Wang & Lu, arXiv:1503.01002).  The sum
     is piecewise linear and nonincreasing in theta, with breakpoints v - 1
     and v; it is evaluated at all 2n sorted breakpoints in one vectorised
-    pass, and theta is interpolated on the segment that brackets k.
+    pass, and theta is interpolated on the segment that brackets k.  Those
+    sums cancel where entries of very different size meet (1e17 beside
+    0.3): a result whose sum misses k by more than rounding is computed again
+    exactly (``_project_exact``).
     """
     v = as_vector(v, name="v")
     n = v.size
@@ -199,13 +204,45 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
     positive = tail[idx] - (n - idx) * thetas
     totals = positive[: 2 * n] - positive[2 * n:]
     # totals falls from n to 0 and 0 < k < n, so the last j with
-    # totals[j] >= k has totals[j + 1] < k and bps[j + 1] > bps[j]
-    j = np.flatnonzero(totals >= k)[-1]
-    theta = bps[j]
-    if totals[j] > k:
-        theta += ((totals[j] - k) * (bps[j + 1] - bps[j])
-                  / (totals[j] - totals[j + 1]))
-    return (v - theta).clip(0.0, 1.0)
+    # totals[j] >= k has totals[j + 1] < k and bps[j + 1] > bps[j], unless
+    # the sums cancelled
+    hits = np.flatnonzero(totals >= k)
+    if hits.size and hits[-1] < 2 * n - 1:
+        j = hits[-1]
+        theta = bps[j]
+        if totals[j] > k:
+            theta += ((totals[j] - k) * (bps[j + 1] - bps[j])
+                      / (totals[j] - totals[j + 1]))
+        w = (v - theta).clip(0.0, 1.0)
+        # every entry of w moves the same way with theta, so a sum within
+        # rounding of k puts w within rounding of the projection
+        if abs(w.sum() - k) <= 64 * n * np.finfo(float).eps * k:
+            return w
+    return _project_exact(v, k)
+
+
+def _project_exact(v: np.ndarray, k: int) -> np.ndarray:
+    """project_capped_simplex for 0 < k < n in exact rational arithmetic,
+    rounded once: the search for theta bisects the sorted breakpoints."""
+    from fractions import Fraction  # only inputs whose sums cancel get here
+
+    vs = [Fraction(x) for x in v.tolist()]
+    bps = sorted(vs + [x - 1 for x in vs])
+
+    def total(theta):
+        return sum(min(max(x - theta, 0), 1) for x in vs)
+
+    # total(bps[0]) = n > k > 0 = total(bps[-1])
+    below, above = 0, len(bps) - 1  # total >= k at below, < k at above
+    while above - below > 1:
+        mid = (below + above) // 2
+        if total(bps[mid]) >= k:
+            below = mid
+        else:
+            above = mid
+    high, low = total(bps[below]), total(bps[above])
+    theta = bps[below] + (high - k) * (bps[above] - bps[below]) / (high - low)
+    return np.array([float(min(max(x - theta, 0), 1)) for x in vs])
 
 
 def _restrict(a, y, u, k: int):
@@ -286,7 +323,7 @@ def optimal_threshold_on_support(a, y, u, k: int):
     return w, u * w
 
 
-def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
+def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
     """(w, partitions): a primal-dual active-set crash start for solve_rot's
     QP, with B^T B = gram of full rank and B^T y = corr (Hintermueller, Ito
     & Kunisch, SIAM J. Optim. 13(3), 2002).
@@ -295,10 +332,12 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
     which the crash does not modify.  Each iteration minimises f with
     the bound variables fixed and sum(v) = k, which gives the free weights
     and the multiplier sigma of the sum, then puts every variable at 0, at
-    its upper end or free by where z = v - (grad f(v) + sigma) / L falls
-    against [0, upper].  It stops when the new partition repeats the last
-    (settled) or an earlier one (cycling), when no weight is free while o
-    is bound, or after ROT_MAX_ITERATIONS iterations.  partitions holds the
+    its upper end or free by where z = v - (grad f(v) + sigma) / scale falls
+    against [0, upper].  Any scale > 0 gives the same partition up to
+    rounding: grad f + sigma vanishes on the free variables, and on a bound
+    one only its sign counts.  It stops when the new partition repeats the
+    last (settled) or an earlier one (cycling), when no weight is free while
+    o is bound, or after ROT_MAX_ITERATIONS iterations.  partitions holds the
     first partition and the one after each iteration; w is the last point.
     If the crash settled, w minimises f on the face of that partition, in
     the box up to rounding, with every bound's multiplier of the sign the
@@ -330,8 +369,8 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, lipschitz: float):
         else:  # every variable bound: no free weight takes up the sum
             break
         w = point
-        z[:t] = w - (2.0 * (gram @ w - corr) + sigma) / lipschitz
-        z[t] = o - sigma / lipschitz
+        z[:t] = w - (2.0 * (gram @ w - corr) + sigma) / scale
+        z[t] = o - sigma / scale
         bound = np.where(z <= 0.0, -1, np.where(z >= upper, 1, 0))
         if upper[t] == 0.0:  # o's box is [0, 0] when t = n
             bound[t] = -1
@@ -348,14 +387,15 @@ class RotSolution:
     """Result of the relaxed optimal-thresholding quadratic program.
 
     ``iterations`` counts the crash's iterations and the active-set steps
-    together; ``kkt_residual`` and ``converged`` are the certificate of
-    ``w`` (see ``solve_rot``).
+    together; ``gap``, the Frank-Wolfe gap of ``w``, bounds ``objective``
+    minus the least objective, and it and ``converged`` are the certificate
+    of ``w`` (see ``solve_rot``).
     """
 
     w: np.ndarray
     objective: float  # ||y - A (w * u)||_2^2
     iterations: int
-    kkt_residual: float
+    gap: float
     converged: bool
 
 
@@ -379,11 +419,11 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     except the first if all are and o is bound too.
     The minimiser is the same from either start where the QP is strictly
     convex (B of full column rank, generically so for t <= q + k < m).
-    There, when t <= m and the least eigenvalue of B^T B exceeds (1e-6
-    ||B||_2)^2, the rank bound of the steps below, a primal-dual active-set
-    crash (``_pdas_crash``) runs first from the partition of that start, o
-    at an end of its box if the start's sum puts it there to t ulps.  Its
-    last point starts the method, and its partition (o's state only where
+    There, when t <= m and every Cholesky pivot of B^T B exceeds the rank
+    bound of the steps below, a primal-dual active-set crash
+    (``_pdas_crash``) runs first from the partition of that start, o at an
+    end of its box if the start's sum puts it there to t ulps.  Its last
+    point starts the method, and its partition (o's state only where
     the partition repeated) is the first working set.  If that partition
     repeated, the crash's last point minimises f on its face, so the method
     begins at the multiplier test below, not at a step: it stops there at
@@ -397,75 +437,85 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     so the last free variable pays to keep the sum (o while it is free: its
     zero column leaves B_F).  The step is cut at the first blocking bound,
     which joins the working set.  If a column of [B, 0]_F Z lies within
-    1e-6 ||B||_2 of the span of the columns before it (a Cholesky pivot of
-    the reduced Hessian), or there are more columns than rows, the Hessian
-    is singular: the right singular vectors whose singular values are at
-    most that bound are directions of zero curvature.  Each step then
-    follows one of them, signed to descend, to the next bound, and the rest
-    are combined to keep the bound that joined, one direction fewer; so one
-    SVD serves until none is left.  At the minimiser on the working set the
+    1e-6 times the largest column norm of B (the rank bound) of the span of
+    the columns before it (a Cholesky pivot of the reduced Hessian), or
+    there are more columns than rows, the Hessian is singular: the right
+    singular vectors whose singular values are at most that bound are
+    directions of zero curvature.  Each step then follows one of them,
+    signed to descend, to the next bound, and the rest are combined to keep
+    the bound that joined, one direction fewer; so one SVD serves until none
+    is left.  At the minimiser on the working set the
     bound with the most negative multiplier leaves it; the method stops
-    once none is below -L ROT_TOLERANCE / (4 sqrt(t)).  Ties go to the
-    lowest index, so o comes after every weight.
+    once none is below -tol / (4 k), with tol = ROT_TOLERANCE max(||y||^2,
+    max_j ||B e_j||^2): relative to ||y||^2, with a floor that keeps it above
+    rounding where y = 0.  Ties go to the lowest index, so o comes after
+    every weight.
 
     ``iterations`` counts the crash's iterations and the steps, at most
-    ROT_MAX_ITERATIONS in all.  ``kkt_residual`` is the fixed-point residual
-    ||w_S - P(w_S - grad f(w_S) / L)|| of the returned w_S, with P the
-    projection onto the w_S of feasible v (the box [0, 1]^t with lo <=
-    sum(w_S) <= hi), and L = 2 lambda_max(B^T B), from one ``eigvalsh`` of
-    the smaller of B^T B and B B^T, which share their nonzero eigenvalues;
+    ROT_MAX_ITERATIONS in all.  ``gap`` is the Frank-Wolfe gap
+    grad f(v) . v - min grad f(v) . v' of the returned v over the feasible
+    v' (Frank & Wolfe 1956; Jaggi, ICML 2013), which bounds f(v) - min f by
+    convexity.  o's gradient is 0, so that minimum puts 1 on the smallest
+    entries of grad f(w_S), as many as are negative but at least lo and at
+    most hi: one sort.  At the multiplier test, multipliers above -s give a
+    gap of at most 2 k s, so the test's slack keeps it to tol / 2.
     ``converged`` is true only if the method stopped at its multiplier test,
-    not at the cap, and that residual is <= ROT_TOLERANCE.
+    not at the cap, and the gap is at most tol.
     """
     y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
     n, t = u.size, supp.size
     start = np.full(n, k / n) if start is None else as_vector(start, n, "start")
 
-    def solution(w_s: np.ndarray, steps: int, kkt: float,
+    def solution(w_s: np.ndarray, steps: int, gap: float,
                  converged: bool) -> RotSolution:
         # a sum held at lo or hi is exact only to rounding: clip the share
         w = np.full(n, np.clip((k - w_s.sum()) / max(n - t, 1), 0.0, 1.0))
         w[supp] = w_s
         r = y - b_sub @ w_s
-        return RotSolution(w, float(r @ r), steps, kkt, converged)
+        return RotSolution(w, float(r @ r), steps, gap, converged)
 
     w = np.full(t, k / n)  # the restriction of the uniform feasible point
     if hi == 0 or lo == t:  # w, all 0 or all 1, is the only feasible point
         return solution(w, 0, 0.0, True)
-    # B^T B where t <= m: the crash's rank test and matrix too
-    gram = b_sub.T @ b_sub if t <= y.size else b_sub @ b_sub.T
-    eigs = np.linalg.eigvalsh(gram)
-    lipschitz = 2.0 * float(eigs.max(initial=0.0))  # B with no rows: 0
-    if lipschitz <= 0.0:  # B = 0: every feasible w is optimal
+    # B^T B, where t <= m, is the crash's matrix; its diagonal holds the
+    # squared column norms of B
+    gram = b_sub.T @ b_sub if t <= y.size else None
+    sq_norms = (gram.diagonal() if gram is not None
+                else np.einsum("ij,ij->j", b_sub, b_sub))
+    col_max = float(np.sqrt(sq_norms.max()))
+    if col_max == 0.0:  # B = 0, or B has no rows: every feasible w is optimal
         return solution(w, 0, 0.0, True)
     # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
     upper = np.append(np.ones(t), n - t)
     # a free column closer than rank_tol to the span of the free columns
     # before it counts as dependent; the Cholesky pivots of their Gram matrix
     # resolve that distance only down to about sqrt(eps) ||B||_2
-    rank_tol = 1e-6 * np.sqrt(0.5 * lipschitz)
+    rank_tol = 1e-6 * col_max
     # B of full column rank by the kernel's rank test: the QP is strictly
-    # convex, and every G_FF below has least eigenvalue >= that of B^T B
-    crash = t <= y.size and eigs[0] > rank_tol**2
+    # convex, and pivot j of every G_FF below, the distance of its column to
+    # the span of the free columns before it, is at least that of B^T B
+    crash = False
+    if gram is not None:
+        try:
+            crash = np.linalg.cholesky(gram).diagonal().min() > rank_tol
+        except np.linalg.LinAlgError:
+            pass
     ulps = t * np.finfo(float).eps
-
-    def feasible(v: np.ndarray, slack: float) -> np.ndarray:
-        """v clipped to [0, 1]^t, or projected onto the capped simplex of sum
-        lo or hi if that sum leaves [lo, hi] by more than slack: with slack
-        0, the projection P onto the feasible w_S."""
-        clipped = v.clip(0.0, 1.0)
-        if not lo - slack <= clipped.sum() <= hi + slack:
-            return project_capped_simplex(v, hi if clipped.sum() > hi else lo)
-        return clipped
 
     def working_set(w: np.ndarray, o_state):
         """(w, bound) for start weights w on S, made feasible; every weight
         at 0 or 1 is in the working set, o in o_state, or at an end of its
         box where o_state is None and w's sum puts it there to t ulps (at 0
         for good when t = n)."""
-        # a sum off [lo, hi] by rounding alone (t ulps) counts as on it: a
-        # projection would move the weights at 1 off their bound
-        w = feasible(w, ulps)
+        # w clipped to [0, 1]^t, or projected unclipped onto the capped
+        # simplex of sum lo or hi if that sum leaves [lo, hi]; off it by
+        # rounding alone (t ulps) counts as on it: a projection would move
+        # the weights at 1 off their bound
+        clipped = w.clip(0.0, 1.0)
+        if lo - ulps <= clipped.sum() <= hi + ulps:
+            w = clipped
+        else:
+            w = project_capped_simplex(w, hi if clipped.sum() > hi else lo)
         bound = np.zeros(t + 1, dtype=int)  # -1: v_i = 0, +1: v_i = upper_i
         bound[:t][w == 0.0] = -1
         bound[:t][w == 1.0] = 1
@@ -484,8 +534,10 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     # at_minimum: v minimises f on the working set
     at_minimum = False
     if crash:
+        # 2 max_j ||B e_j||^2 <= L = 2 lambda_max(B^T B): the sign test's
+        # scale only needs to be positive
         w, partitions = _pdas_crash(gram, b_sub.T @ y, w, bound, upper, k,
-                                    lipschitz)
+                                    2.0 * col_max**2)
         steps = len(partitions) - 1
         # a repeated partition is the face of its last point, which minimises
         # f there: the method starts at its multiplier test, and o keeps its
@@ -495,10 +547,10 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         w, bound = working_set(w, partitions[-1][t] if at_minimum else 0)
     v = np.append(w, 0.0)
     grad = np.zeros(t + 1)  # o moves no residual: its gradient stays 0
-    # multipliers above -slack keep the certificate <= ROT_TOLERANCE / 2: the
-    # gradient moves by at most 2 sqrt(t) slack to make w an exact KKT point,
-    # and P is nonexpansive
-    slack = lipschitz * ROT_TOLERANCE / (4.0 * np.sqrt(t))
+    # multipliers above -slack keep the gap <= 2 k slack, half its bound;
+    # the floor keeps that bound above rounding where y = 0
+    gap_bound = ROT_TOLERANCE * max(float(y @ y), col_max**2)
+    slack = gap_bound / (4.0 * k)
 
     # columns: zero-curvature directions p (B p ~ 0) that keep the working
     # set; only the rows of free variables are read
@@ -592,6 +644,9 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
             null = np.delete(null - np.outer(null[:, c], row / row[c]), c, axis=1)
     w = v[:t]
 
+    # the Frank-Wolfe gap: the feasible v' minimising grad . v' puts 1 on the
+    # smallest entries of grad f(w), as many as are negative within [lo, hi]
     grad = -2.0 * (b_sub.T @ (y - b_sub @ w))
-    kkt = float(np.linalg.norm(w - feasible(w - grad / lipschitz, 0.0)))
-    return solution(w, steps, kkt, at_minimum and kkt <= ROT_TOLERANCE)
+    ones = min(max(int(np.count_nonzero(grad < 0.0)), lo), hi)
+    gap = float(grad @ w - np.sort(grad)[:ones].sum())
+    return solution(w, steps, gap, at_minimum and gap <= gap_bound)

@@ -125,7 +125,7 @@ def _relaxed(problem):
         sol = solve_rot(problem.a, problem.y, u, problem.k, start)
         if not sol.converged:
             events.append(f"rot subproblem not converged at iteration {p + 1} "
-                          f"(kkt_residual={sol.kkt_residual:.3e})")
+                          f"(gap={sol.gap:.3e})")
         start = sol.w * (u != 0)
         return sol.w * u
 

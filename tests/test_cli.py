@@ -86,7 +86,7 @@ def test_solve_prints_rot_nonconvergence_notes(tmp_path, capsys, monkeypatch):
     for p, note in enumerate(notes, start=1):
         assert re.fullmatch(
             rf"note: rot subproblem not converged at iteration {p} "
-            r"\(kkt_residual=\d\.\d{3}e[+-]\d+\)", note)
+            r"\(gap=\d\.\d{3}e[+-]\d+\)", note)
     assert main(["solve", *files, "--algo", "pgrotp", "--max-iters", "0"]) == 1
     assert "max_iterations must be positive" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import ast
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -347,8 +348,8 @@ def test_projection_examples():
 
 
 def test_one_feasible_set_projection_in_operators():
-    # solve_rot's start, the crash's last point and the certificate share one
-    # clip-then-project helper; L comes from solve_rot's own eigvalsh, so
+    # solve_rot's start and the crash's last point share one clip-then-project
+    # path; the certificate is the Frank-Wolfe gap, which never projects, and
     # operators imports nothing from linalg
     tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
     sites = []
@@ -363,7 +364,7 @@ def test_one_feasible_set_projection_in_operators():
             visit(child, inner)
 
     visit(tree, "operators")
-    assert sorted(set(sites)) == ["operators.solve_rot.feasible"]
+    assert sorted(set(sites)) == ["operators.solve_rot.working_set"]
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 and node.module == "linalg"]
@@ -407,6 +408,54 @@ def test_projection_with_ties_matches_kkt_oracle():
         w = project_capped_simplex(v, k)
         assert abs(w.sum() - k) <= 1e-10 * max(1, k)
         assert np.allclose(w, _projection_kkt_oracle(v, k), atol=1e-10)
+
+
+def _exact_projection(v, k):
+    """The projection onto {w : sum(w) = k, 0 <= w <= 1} in exact rational
+    arithmetic: clamp(v - theta, 0, 1) for the theta among the breakpoints
+    and the free-window solutions (the a largest entries at 1, the next f
+    free) whose clamped sum is exactly k."""
+    vals = [Fraction(x) for x in v]
+    desc = sorted(vals, reverse=True)
+    thetas = vals + [x - 1 for x in vals]
+    for a in range(k + 1):
+        for f in range(1, len(vals) - a + 1):
+            thetas.append((sum(desc[a:a + f]) + a - k) / f)
+    for theta in thetas:
+        w = [min(max(x - theta, 0), 1) for x in vals]
+        if sum(w) == k:
+            return w
+    raise AssertionError("no theta found")
+
+
+@pytest.mark.parametrize("v, k", [
+    ([1e17, 0.3, 0.2, 0.1], 1),
+    ([1e300, 0.5, 0.2], 1),
+    ([1e16, 1e16 + 2, 0.5], 1),
+    ([1e17, 1e17, 0.5], 1),
+    ([1e17, -1e17, 0.5, 0.25], 2),
+])
+def test_projection_of_entries_far_apart_matches_exact_oracle(v, k):
+    # the breakpoint sums cancel here; the result must still be the
+    # projection, in [0, 1] and summing to k up to rounding
+    w = project_capped_simplex(v, k)
+    assert np.all(w >= 0.0) and np.all(w <= 1.0)
+    assert abs(w.sum() - k) <= 4 * len(v) * np.finfo(float).eps * k
+    expect = np.array([float(x) for x in _exact_projection(v, k)])
+    np.testing.assert_allclose(w, expect, rtol=0.0, atol=1e-15)
+
+
+def test_projection_of_ordinary_entries_is_vectorised(monkeypatch):
+    # the exact fallback is for sums that cancel, not for ordinary inputs
+    def refuse(v, k):
+        raise AssertionError(f"exact fallback on {v}, {k}")
+
+    monkeypatch.setattr(operators, "_project_exact", refuse)
+    rng = np.random.default_rng(24)
+    for _ in range(500):
+        n = int(rng.integers(2, 200))
+        v = rng.standard_normal(n) * rng.choice([0.1, 1.0, 10.0])
+        project_capped_simplex(v, int(rng.integers(1, n)))
 
 
 def test_projection_idempotent_and_nonexpansive():
@@ -455,10 +504,41 @@ def test_solve_rot_feasible_and_below_binary_optimum():
 
 
 def _fixed_point_residual(a, y, u, sol, k):
+    """||w_S - P(w_S - grad f(w_S) / L)|| with the exact L = 2 ||B||_2^2 and
+    P the projection onto the feasible w_S: [0, 1]^t with lo <= sum <= hi."""
+    supp = np.flatnonzero(u)
+    n, t = u.size, supp.size
+    lo, hi = max(0, k - (n - t)), min(k, t)
+    b = a[:, supp] * u[supp]
+    w = sol.w[supp]
+    z = w - (b.T @ (b @ w - y)) / np.linalg.norm(b, 2) ** 2
+    p = z.clip(0.0, 1.0)
+    if not lo <= p.sum() <= hi:
+        p = project_capped_simplex(z, hi if p.sum() > hi else lo)
+    return float(np.linalg.norm(w - p))
+
+
+def _frank_wolfe_gap(a, y, u, sol, k):
+    """grad . w - min grad . w' over 0 <= w' <= 1 with sum(w') = k, in all n
+    weights: the minimum takes the k smallest entries of the gradient."""
     b = a * u
-    step = 1.0 / (2.0 * np.linalg.norm(b, 2) ** 2)
     grad = 2.0 * b.T @ (b @ sol.w - y)
-    return np.linalg.norm(sol.w - project_capped_simplex(sol.w - step * grad, k))
+    return float(grad @ sol.w - np.sort(grad)[:k].sum())
+
+
+def _gap_bound(a, y, u):
+    """ROT_TOLERANCE max(||y||^2, max_j ||B e_j||^2)."""
+    b = a * u
+    return operators.ROT_TOLERANCE * max(float(y @ y),
+                                         float((b * b).sum(axis=0).max()))
+
+
+def _assert_certified(a, y, u, k, sol):
+    """sol converged, its gap within the bound, and the fixed-point residual
+    of its w, with the exact L, within ROT_TOLERANCE."""
+    assert sol.converged
+    assert sol.gap <= _gap_bound(a, y, u)
+    assert _fixed_point_residual(a, y, u, sol, k) <= operators.ROT_TOLERANCE
 
 
 def test_solve_rot_iteration_exhaustion_flagged(monkeypatch):
@@ -476,9 +556,9 @@ def test_solve_rot_iteration_exhaustion_flagged(monkeypatch):
             assert not sol.converged
             assert sol.iterations == max_iterations
             assert abs(sol.w.sum() - 5) <= 1e-9 * 5
-            # the reported residual is the fixed-point residual of the returned w
-            assert sol.kkt_residual == pytest.approx(
-                _fixed_point_residual(a, y, u, sol, 5), rel=1e-6)
+            # the reported gap is the Frank-Wolfe gap of the returned w
+            assert sol.gap == pytest.approx(
+                _frank_wolfe_gap(a, y, u, sol, 5), rel=1e-6)
 
 
 def test_solve_rot_step_cap_counts_the_crash(monkeypatch):
@@ -497,8 +577,8 @@ def test_solve_rot_step_cap_counts_the_crash(monkeypatch):
             assert not sol.converged
             assert sol.iterations == max_iterations
             assert abs(sol.w.sum() - 5) <= 1e-9 * 5
-            assert sol.kkt_residual == pytest.approx(
-                _fixed_point_residual(a, y, u, sol, 5), rel=1e-6)
+            assert sol.gap == pytest.approx(
+                _frank_wolfe_gap(a, y, u, sol, 5), rel=1e-6)
 
 
 @pytest.mark.parametrize("k", [10, 20, 30])
@@ -511,8 +591,8 @@ def test_solve_rot_converges_at_bench_scale(k):
         problem = make_trial_problem(exp, k, 2 * k, "pgrotp", trial)
         u = hard_threshold(problem.a.T @ problem.y, problem.q)
         sol = solve_rot(problem.a, problem.y, u, k)
-        assert sol.converged, (k, trial, sol.kkt_residual)
-        assert sol.kkt_residual <= operators.ROT_TOLERANCE
+        assert sol.converged, (k, trial, sol.gap)
+        _assert_certified(problem.a, problem.y, u, k, sol)
 
 
 @pytest.mark.parametrize("n, k, t", [
@@ -530,7 +610,7 @@ def test_solve_rot_reduced_feasible_set(n, k, t):
         sol = solve_rot(a, y, u, k)
         assert abs(sol.w.sum() - k) <= 1e-9 * k
         assert np.all(sol.w >= 0) and np.all(sol.w <= 1)
-        assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+        _assert_certified(a, y, u, k, sol)
         _, x = exact_optimal_threshold(a, y, u, k)
         binary_obj = float(np.linalg.norm(y - a @ x) ** 2)
         assert sol.objective <= binary_obj + 1e-6
@@ -541,17 +621,17 @@ def test_solve_rot_certifies_ill_conditioned_seed4_subproblem(monkeypatch):
     certificates = []
     rot = solvers.solve_rot
 
-    def recording_rot(*args):
-        sol = rot(*args)
-        certificates.append((sol.converged, sol.kkt_residual))
+    def recording_rot(a, y, u, k, start):
+        sol = rot(a, y, u, k, start)
+        certificates.append((a, y, u, k, sol))
         return sol
 
     monkeypatch.setattr(solvers, "solve_rot", recording_rot)
     exp = ExperimentConfig(m=100, n=200, k_grid=(20,), seed=4)
     solve(make_trial_problem(exp, 20, 40, "pgrotp", 3), "pgrotp")
     assert len(certificates) >= 4
-    for converged, kkt in certificates:
-        assert converged and kkt <= operators.ROT_TOLERANCE, (converged, kkt)
+    for a, y, u, k, sol in certificates:
+        _assert_certified(a, y, u, k, sol)
 
 
 def test_solve_rot_active_set_path_is_pinned(monkeypatch):
@@ -582,8 +662,8 @@ def test_solve_rot_active_set_path_is_pinned(monkeypatch):
 
 @pytest.mark.parametrize("k", [10, 20, 30])
 def test_solve_rot_projects_at_most_once_per_iteration(k, monkeypatch):
-    # the active-set steps never project: the one projection per solve is
-    # the fixed-point certificate of the returned w
+    # the active-set steps and the certificate never project: only a start
+    # or crash point whose clipped sum leaves [lo, hi] is projected
     calls = []
     project = operators.project_capped_simplex
 
@@ -665,6 +745,78 @@ def test_solve_rot_matches_kkt_pattern_oracle(n, k, t):
             _assert_warm_start_matches_cold(a, y, u, k, start, sol)
 
 
+def test_solve_rot_gap_bounds_the_objective_gap(monkeypatch):
+    # gap >= f(w) - f*, by convexity, for every feasible w: capped solves
+    # (one step, two steps) and converged ones, cold and warm
+    rng = np.random.default_rng(120)
+    capped = converged = 0
+    for n, k, t in [(7, 3, 5), (9, 4, 3), (6, 2, 6), (10, 3, 7)]:
+        for _ in range(3):
+            m = int(rng.integers(t, t + 3))
+            a = rng.standard_normal((m, n)) / np.sqrt(m)
+            y = rng.standard_normal(m)
+            u = np.zeros(n)
+            u[rng.choice(n, size=t, replace=False)] = rng.standard_normal(t)
+            supp = np.flatnonzero(u)
+            oracle = _rot_pattern_oracle(a[:, supp] * u[supp], y,
+                                         max(0, k - (n - t)), min(k, t))
+            for start in (None, rng.uniform(-0.5, 1.5, n)):
+                for cap in (1, 2, 5000):
+                    monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", cap)
+                    sol = solve_rot(a, y, u, k, start)
+                    capped += not sol.converged
+                    converged += sol.converged
+                    assert sol.gap >= sol.objective - oracle - 1e-12
+                    assert sol.gap == pytest.approx(
+                        _frank_wolfe_gap(a, y, u, sol, k), rel=1e-6, abs=1e-12)
+    assert capped >= 10 and converged >= 24
+
+
+@pytest.mark.parametrize("m, n, k, t", [
+    (12, 20, 3, 6),   # lo = 0: w_S = 0 is optimal
+    (10, 8, 4, 6),    # lo = 2: weight is forced onto S
+    (6, 10, 3, 10),   # t = n > m: lo = hi = k, B^T B singular
+    (6, 12, 4, 10),   # t > m with lo = 2: B has a null vector there
+])
+def test_solve_rot_zero_measurements(m, n, k, t):
+    # y = 0: the gap bound's floor, the largest squared column norm of B,
+    # keeps it above rounding where weight on S leaves f(w) > 0 or B w ~ 0
+    rng = np.random.default_rng(130 + t)
+    for _ in range(3):
+        a = rng.standard_normal((m, n)) / np.sqrt(m)
+        u = np.zeros(n)
+        u[rng.choice(n, size=t, replace=False)] = rng.standard_normal(t)
+        y = np.zeros(m)
+        sol = solve_rot(a, y, u, k)
+        _assert_certified(a, y, u, k, sol)
+        assert abs(sol.w.sum() - k) <= 1e-9 * k
+        assert np.all(sol.w >= 0.0) and np.all(sol.w <= 1.0)
+        if t <= m:
+            supp = np.flatnonzero(u)
+            oracle = _rot_pattern_oracle(a[:, supp] * u[supp], y,
+                                         max(0, k - (n - t)), min(k, t))
+            assert sol.objective == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("y", [np.zeros(4), np.ones(4)])
+def test_solve_rot_zero_columns_on_the_support(y):
+    # B = A[:, S] diag(u_S) = 0 while A is not: the uniform weights, no step
+    a = np.zeros((4, 6))
+    a[:, [1, 4]] = 1.0
+    u = np.array([0.0, 0.0, 2.0, -1.0, 0.0, 3.0])
+    sol = solve_rot(a, y, u, 2)
+    assert sol.converged and sol.gap == 0.0 and sol.iterations == 0
+    np.testing.assert_array_equal(sol.w, np.full(6, 2 / 6))
+
+
+def test_operators_takes_no_eigendecomposition():
+    # solve_rot's certificate, rank bound and crash gate need no L
+    tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
+    calls = {ast.unparse(node.func).rsplit(".", 1)[-1]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not calls & {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
 def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
     # found by search: from the cold start, the crash's partitions return to
     # an earlier one (period 2), and the kernel goes on from its last point
@@ -688,7 +840,7 @@ def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
     assert not np.array_equal(partitions[-1], partitions[-2])
     assert any(np.array_equal(partitions[-1], p) for p in partitions[:-2])
     assert sol.iterations > len(partitions) - 1  # the kernel took steps too
-    assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+    _assert_certified(a, y, u, k, sol)
     oracle = _rot_pattern_oracle(a[:, :t] * u[:t], y, max(0, k - (n - t)), k)
     assert sol.objective == pytest.approx(oracle, abs=1e-10)
 
@@ -721,7 +873,7 @@ def test_solve_rot_settled_crash_takes_no_kernel_step(n, k, t, monkeypatch):
             crashes.clear()
             sol = solve_rot(a, y, u, k, start)
             [partitions] = crashes
-            assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+            _assert_certified(a, y, u, k, sol)
             assert sol.objective == pytest.approx(oracle, abs=1e-10)
             if np.array_equal(partitions[-1], partitions[-2]):
                 settled += 1
@@ -749,7 +901,7 @@ def test_solve_rot_releases_a_wrong_face_from_a_settled_crash(monkeypatch):
     face[[0, n]] = -1
     crashes = []
 
-    def wrong_crash(gram, corr, w, bound, upper, k, lipschitz):
+    def wrong_crash(gram, corr, w, bound, upper, k, scale):
         crashes.append(1)
         return face_w.copy(), [bound, face, face]
 
@@ -757,7 +909,7 @@ def test_solve_rot_releases_a_wrong_face_from_a_settled_crash(monkeypatch):
     sol = solve_rot(a, y, u, k)
     assert crashes == [1]
     assert sol.iterations > 2  # the crash's two, then the kernel's steps
-    assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+    _assert_certified(a, y, u, k, sol)
     assert sol.w[0] > 0.0
     oracle = _rot_pattern_oracle(a, y, k, k)
     assert sol.objective == pytest.approx(oracle, abs=1e-10)
@@ -769,7 +921,7 @@ def _assert_warm_start_matches_cold(a, y, u, k, start, cold):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sol = solve_rot(a, y, u, k, start)
-    assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+    _assert_certified(a, y, u, k, sol)
     assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
 
 
@@ -836,7 +988,7 @@ def test_solve_rot_projects_an_out_of_range_start_unclipped(monkeypatch):
         v, total = calls[0]
         np.testing.assert_array_equal(v, start[:t])
         assert total == k
-        assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+        _assert_certified(a, y, u, k, sol)
 
 
 def test_solve_rot_rejects_start_of_wrong_length():
@@ -891,7 +1043,7 @@ def test_solve_rot_exactly_singular_gram(make, k):
         a, u = make(rng)
         y = rng.standard_normal(a.shape[0])
         sol = solve_rot(a, y, u, k)
-        assert sol.converged and sol.kkt_residual <= operators.ROT_TOLERANCE
+        _assert_certified(a, y, u, k, sol)
         assert abs(sol.w.sum() - k) <= 1e-9 * k
         assert np.all(sol.w >= 0) and np.all(sol.w <= 1)
         _, x = exact_optimal_threshold(a, y, u, k)
@@ -912,7 +1064,7 @@ def test_solve_rot_nearly_dependent_columns():
         for k in (2, 5):
             sol = solve_rot(a, y, u, k)
             assert sol.converged, (seed, k, sol.iterations)
-            assert sol.kkt_residual <= operators.ROT_TOLERANCE
+            _assert_certified(a, y, u, k, sol)
             _, x = exact_optimal_threshold(a, y, u, k)
             assert sol.objective <= float(np.linalg.norm(y - a @ x) ** 2) + 1e-6
 
@@ -923,8 +1075,8 @@ def test_solve_rot_step_cap_on_singular_gram(monkeypatch):
     monkeypatch.setattr(operators, "ROT_MAX_ITERATIONS", 1)
     sol = solve_rot(a, y, u, 3)
     assert not sol.converged and sol.iterations == 1
-    assert sol.kkt_residual == pytest.approx(
-        _fixed_point_residual(a, y, u, sol, 3), rel=1e-6)
+    assert sol.gap == pytest.approx(_frank_wolfe_gap(a, y, u, sol, 3),
+                                    rel=1e-6)
 
 
 @pytest.mark.parametrize("u", [np.zeros(6), np.arange(1.0, 7.0)])
@@ -932,6 +1084,6 @@ def test_solve_rot_constant_objective_converges(u):
     # empty supp(u), or B = A diag(u) = 0: any feasible w is a minimizer
     a = np.zeros((4, 6))
     sol = solve_rot(a, np.ones(4), u, 2)
-    assert sol.converged and sol.kkt_residual <= 1e-12
+    assert sol.converged and sol.gap == 0.0
     assert abs(sol.w.sum() - 2) <= 1e-12
     assert np.all(sol.w >= 0) and np.all(sol.w <= 1)

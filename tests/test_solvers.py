@@ -324,7 +324,7 @@ def test_rot_nonconvergence_reported_per_iteration(algo, monkeypatch):
     for p, event in enumerate(report.events, start=1):
         assert re.fullmatch(
             rf"rot subproblem not converged at iteration {p} "
-            r"\(kkt_residual=\d\.\d{3}e[+-]\d+\)", event)
+            r"\(gap=\d\.\d{3}e[+-]\d+\)", event)
     assert solve(problem, algo).events == []
 
 
