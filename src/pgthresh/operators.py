@@ -328,12 +328,15 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
     QP, with B^T B = gram of full rank and B^T y = corr (Hintermueller, Ito
     & Kunisch, SIAM J. Optim. 13(3), 2002).
 
-    The first partition of v = (w, o) is ``bound``, o's state included,
-    which the crash does not modify.  Each iteration minimises f with
-    the bound variables fixed and sum(v) = k, which gives the free weights
-    and the multiplier sigma of the sum, then puts every variable at 0, at
-    its upper end or free by where z = v - (grad f(v) + sigma) / scale falls
-    against [0, upper].  Any scale > 0 gives the same partition up to
+    A partition is an int8 array over v = (w, o): -1 at 0, +1 at the upper
+    end, 0 free.  The first is ``bound``, o's state included, which the
+    crash does not modify; it must be int8 like the later ones, which are
+    compared with it as bytes.  Each iteration minimises f with the bound
+    variables fixed and sum(v) = k, which gives the free weights and the
+    multiplier sigma of the sum (the two right-hand sides of that solve
+    share one t x 2 array for the whole crash), then puts every variable at
+    0, at its upper end or free by where z = v - (grad f(v) + sigma) / scale
+    falls against [0, upper].  Any scale > 0 gives the same partition up to
     rounding: grad f + sigma vanishes on the free variables, and on a bound
     one only its sign counts.  It stops when the new partition repeats the
     last (settled) or an earlier one (cycling), when no weight is free while
@@ -346,23 +349,27 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
     t = gram.shape[0]
     partitions, seen = [bound], {bound.tobytes()}
     z = np.empty(t + 1)
+    # the first |F| rows hold an iteration's two right-hand sides: column 0
+    # the reduced correlation, column 1 the ones of the bordered system
+    rhs = np.ones((t, 2))
     while len(partitions) <= ROT_MAX_ITERATIONS:
         at_one = bound[:t] > 0
         free = np.flatnonzero(bound[:t] == 0)
         point = at_one.astype(float)
         gram_f = gram[free]
-        rhs = corr[free] - gram_f @ point
+        rhs_f = rhs[:free.size]
+        rhs_f[:, 0] = corr[free] - gram_f @ point
         o = upper[t] if bound[t] > 0 else 0.0
         if bound[t] == 0:  # o free: its gradient is 0, so sigma is too
             sigma = 0.0
             if free.size:
-                point[free] = np.linalg.solve(gram_f[:, free], rhs)
+                point[free] = np.linalg.solve(gram_f[:, free], rhs_f[:, 0])
             o = k - point.sum()
         elif free.size:
             # G_FF w_F = rhs - sigma / 2 with sum(w_F) = k - o - |U|: the
-            # bordered system, solved through its Schur complement
-            sol = np.linalg.solve(gram_f[:, free],
-                                  np.column_stack((rhs, np.ones(free.size))))
+            # bordered system, solved through its Schur complement; the two
+            # column sums stay apart (one sum over axis 0 rounds differently)
+            sol = np.linalg.solve(gram_f[:, free], rhs_f)
             half = (sol[:, 0].sum() - (k - o - at_one.sum())) / sol[:, 1].sum()
             point[free] = sol[:, 0] - half * sol[:, 1]
             sigma = 2.0 * half
@@ -371,7 +378,7 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
         w = point
         z[:t] = w - (2.0 * (gram @ w - corr) + sigma) / scale
         z[t] = o - sigma / scale
-        bound = np.where(z <= 0.0, -1, np.where(z >= upper, 1, 0))
+        bound = (z >= upper).astype(np.int8) - (z <= 0.0)
         if upper[t] == 0.0:  # o's box is [0, 0] when t = n
             bound[t] = -1
         partitions.append(bound)
@@ -388,8 +395,10 @@ class RotSolution:
 
     ``iterations`` counts the crash's iterations and the active-set steps
     together; ``gap``, the Frank-Wolfe gap of ``w``, bounds ``objective``
-    minus the least objective, and it and ``converged`` are the certificate
-    of ``w`` (see ``solve_rot``).
+    minus the least objective and is never negative, and it and
+    ``converged`` are the certificate of ``w`` (see ``solve_rot``).
+    ``objective`` and ``gap`` come from the one residual of ``w`` that the
+    method's last multiplier test formed.
     """
 
     w: np.ndarray
@@ -457,8 +466,13 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     v' (Frank & Wolfe 1956; Jaggi, ICML 2013), which bounds f(v) - min f by
     convexity.  o's gradient is 0, so that minimum puts 1 on the smallest
     entries of grad f(w_S), as many as are negative but at least lo and at
-    most hi: one sort.  At the multiplier test, multipliers above -s give a
-    gap of at most 2 k s, so the test's slack keeps it to tol / 2.
+    most hi: one sort.  The gap is never negative in exact arithmetic; where
+    it rounds below 0 it is returned as 0.  At the multiplier test,
+    multipliers above -s give a gap of at most 2 k s, so the test's slack
+    keeps it to tol / 2.  The residual y - B w_S and the gradient that the
+    last multiplier test forms also give the gap and ``objective``; a solve
+    stopped at the cap forms the gradient once, from the residual its last
+    iteration formed.  Partitions and working sets are int8 arrays.
     ``converged`` is true only if the method stopped at its multiplier test,
     not at the cap, and the gap is at most tol.
     """
@@ -466,17 +480,17 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     n, t = u.size, supp.size
     start = np.full(n, k / n) if start is None else as_vector(start, n, "start")
 
-    def solution(w_s: np.ndarray, steps: int, gap: float,
+    def solution(w_s: np.ndarray, r: np.ndarray, steps: int, gap: float,
                  converged: bool) -> RotSolution:
+        """The RotSolution of weights w_s on S, whose residual is r."""
         # a sum held at lo or hi is exact only to rounding: clip the share
         w = np.full(n, np.clip((k - w_s.sum()) / max(n - t, 1), 0.0, 1.0))
         w[supp] = w_s
-        r = y - b_sub @ w_s
         return RotSolution(w, float(r @ r), steps, gap, converged)
 
     w = np.full(t, k / n)  # the restriction of the uniform feasible point
     if hi == 0 or lo == t:  # w, all 0 or all 1, is the only feasible point
-        return solution(w, 0, 0.0, True)
+        return solution(w, y - b_sub @ w, 0, 0.0, True)
     # B^T B, where t <= m, is the crash's matrix; its diagonal holds the
     # squared column norms of B
     gram = b_sub.T @ b_sub if t <= y.size else None
@@ -484,7 +498,7 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
                 else np.einsum("ij,ij->j", b_sub, b_sub))
     col_max = float(np.sqrt(sq_norms.max()))
     if col_max == 0.0:  # B = 0, or B has no rows: every feasible w is optimal
-        return solution(w, 0, 0.0, True)
+        return solution(w, y - b_sub @ w, 0, 0.0, True)
     # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
     upper = np.append(np.ones(t), n - t)
     # a free column closer than rank_tol to the span of the free columns
@@ -516,9 +530,9 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
             w = clipped
         else:
             w = project_capped_simplex(w, hi if clipped.sum() > hi else lo)
-        bound = np.zeros(t + 1, dtype=int)  # -1: v_i = 0, +1: v_i = upper_i
-        bound[:t][w == 0.0] = -1
-        bound[:t][w == 1.0] = 1
+        # -1: v_i = 0, +1: v_i = upper_i, in the crash's int8
+        bound = np.empty(t + 1, dtype=np.int8)
+        bound[:t] = (w == 1.0).astype(np.int8) - (w == 0.0)
         if o_state is None:
             o = k - w.sum()
             o_state = -1 if o <= ulps else 1 if o >= n - t - ulps else 0
@@ -643,10 +657,14 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
             c = int(np.argmax(np.abs(row)))
             null = np.delete(null - np.outer(null[:, c], row / row[c]), c, axis=1)
     w = v[:t]
+    # r is the residual of w: the multiplier test that ended the loop formed
+    # it and the gradient; at the cap only the gradient is left to form
+    grad = grad[:t] if at_minimum else -2.0 * (b_sub.T @ r)
 
     # the Frank-Wolfe gap: the feasible v' minimising grad . v' puts 1 on the
-    # smallest entries of grad f(w), as many as are negative within [lo, hi]
-    grad = -2.0 * (b_sub.T @ (y - b_sub @ w))
+    # smallest entries of grad f(w), as many as are negative within [lo, hi];
+    # never negative in exact arithmetic, it is clamped to +0.0 where it
+    # rounds below (max keeps its first argument on a tie with -0.0)
     ones = min(max(int(np.count_nonzero(grad < 0.0)), lo), hi)
-    gap = float(grad @ w - np.sort(grad)[:ones].sum())
-    return solution(w, steps, gap, at_minimum and gap <= gap_bound)
+    gap = max(0.0, float(grad @ w - np.sort(grad)[:ones].sum()))
+    return solution(w, r, steps, gap, at_minimum and gap <= gap_bound)
