@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, SolverConfig
-from .solvers import ALGORITHM_IDS, check_recovery, solve
+from .model import RECOVERY, ProblemInstance, SolverConfig, check_integer
+from .solvers import ALGORITHM_IDS, solve
 
 TRACE_HEADER = "iter,algo,q,objective"
 ITERATIONS_HEADER = "m,n,k,q,algo,mean_iters,trials"
@@ -40,6 +40,10 @@ class ExperimentConfig:
     trace_iterations: int = 70
 
     def __post_init__(self):
+        for name in ("m", "n", "trials", "threads", "trace_iterations", "seed"):
+            check_integer(getattr(self, name), name)
+        if self.seed < 0:  # numpy's seeding would reject it mid-run
+            raise ValueError(f"seed={self.seed} must be nonnegative")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m={self.m} and n={self.n} must be positive")
         if not self.k_grid or not self.q_list or not self.algorithms:
@@ -48,6 +52,7 @@ class ExperimentConfig:
             if algo not in ALGORITHM_IDS:
                 raise ValueError(f"unknown algorithm {algo!r}")
         for k in self.k_grid:
+            check_integer(k, "k")
             if not 1 <= k <= self.n:
                 raise ValueError(f"k={k} must satisfy 1 <= k <= n={self.n}")
         for token in self.q_list:  # raises on a token it cannot parse
@@ -107,7 +112,7 @@ def gen_sparse_vector(n: int, k: int, seed) -> np.ndarray:
 
 def resolve_q(token, k: int, n: int) -> int:
     """Resolve a q specification ('k', '2k', '3k', 'n' or an integer) for a cell."""
-    if isinstance(token, (int, np.integer)):
+    if isinstance(token, (int, np.integer)) and not isinstance(token, bool):
         q = int(token)
     else:
         text = str(token).strip().lower()
@@ -186,7 +191,9 @@ def _run_cell(cfg: ExperimentConfig, k: int, q: int, algo: str) -> CellResult:
     for trial in range(cfg.trials):
         problem = make_trial_problem(cfg, k, q, algo, trial)
         report = solve(problem, algo, solver_cfg)
-        ok = check_recovery(report.final_x, problem.truth)
+        # with a truth, _run stops at RECOVERY iff the iterate it stops on
+        # meets the recovery criterion
+        ok = report.termination == RECOVERY
         successes += int(ok)
         # failed trials are charged the full iteration budget
         iteration_sum += report.iterations if ok else solver_cfg.max_iterations

@@ -26,6 +26,13 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
+def check_integer(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless value is a Python or numpy
+    integer; a bool or an integral float is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} must be an integer")
+
+
 def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -57,6 +64,8 @@ class ProblemInstance:
         object.__setattr__(self, "a", as_matrix(self.a))
         m, n = self.a.shape
         object.__setattr__(self, "y", as_vector(self.y, m, "y"))
+        check_integer(self.k, "k")
+        check_integer(self.q, "q")
         if not 1 <= self.k <= n:
             raise ValueError(f"k={self.k} must satisfy 1 <= k <= n={n}")
         if not self.k <= self.q <= n:
@@ -81,6 +90,7 @@ class SolverConfig:
     normalize_stepsize: bool = False
 
     def __post_init__(self):
+        check_integer(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import as_vector
+from .model import as_vector, check_integer
 
 
 class ExhaustiveLimitError(ValueError):
@@ -139,6 +139,7 @@ def subsets(t: int, j: int) -> np.ndarray:
 
 
 def _check_k(k: int, n: int) -> None:
+    check_integer(k, "k")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} must be in [0, {n}]")
 
@@ -324,9 +325,9 @@ def optimal_threshold_on_support(a, y, u, k: int):
 
 
 def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
-    """(w, partitions): a primal-dual active-set crash start for solve_rot's
-    QP, with B^T B = gram of full rank and B^T y = corr (Hintermueller, Ito
-    & Kunisch, SIAM J. Optim. 13(3), 2002).
+    """(w, iterations, settled): a primal-dual active-set crash start for
+    solve_rot's QP, with B^T B = gram of full rank and B^T y = corr
+    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002).
 
     A partition is an int8 array over v = (w, o): -1 at 0, +1 at the upper
     end, 0 free.  The first is ``bound``, o's state included, which the
@@ -340,19 +341,21 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
     rounding: grad f + sigma vanishes on the free variables, and on a bound
     one only its sign counts.  It stops when the new partition repeats the
     last (settled) or an earlier one (cycling), when no weight is free while
-    o is bound, or after ROT_MAX_ITERATIONS iterations.  partitions holds the
-    first partition and the one after each iteration; w is the last point.
-    If the crash settled, w minimises f on the face of that partition, in
-    the box up to rounding, with every bound's multiplier of the sign the
-    partition tested; otherwise it may lie outside the box.
+    o is bound, or after ROT_MAX_ITERATIONS iterations.  w is the last
+    point (the given one if no iteration ran).  If the crash settled, w
+    minimises f on the face of that partition, in the box up to rounding,
+    with every bound's multiplier of the sign the partition tested;
+    otherwise it may lie outside the box.
     """
     t = gram.shape[0]
-    partitions, seen = [bound], {bound.tobytes()}
+    key = bound.tobytes()
+    seen = {key}
     z = np.empty(t + 1)
     # the first |F| rows hold an iteration's two right-hand sides: column 0
     # the reduced correlation, column 1 the ones of the bordered system
     rhs = np.ones((t, 2))
-    while len(partitions) <= ROT_MAX_ITERATIONS:
+    iterations = 0
+    while iterations < ROT_MAX_ITERATIONS:
         at_one = bound[:t] > 0
         free = np.flatnonzero(bound[:t] == 0)
         point = at_one.astype(float)
@@ -381,12 +384,12 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
         bound = (z >= upper).astype(np.int8) - (z <= 0.0)
         if upper[t] == 0.0:  # o's box is [0, 0] when t = n
             bound[t] = -1
-        partitions.append(bound)
-        key = bound.tobytes()
-        if key in seen:
-            break
+        iterations += 1
+        last, key = key, bound.tobytes()
+        if key in seen:  # settled, or cycling
+            return w, iterations, key == last
         seen.add(key)
-    return w, partitions
+    return w, iterations, False
 
 
 @dataclass
@@ -424,22 +427,19 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     else raises ValueError).  Every start, and the crash's last point below,
     takes one path: its entries on S are clipped to [0, 1], or, if that sum
     leaves [lo, hi] by more than t ulps, projected unclipped onto the capped
-    simplex of sum lo or hi; every one at 0 or 1 starts in the working set,
-    except the first if all are and o is bound too.
+    simplex of sum lo or hi.  Every weight at 0 or 1 starts in the working
+    set, and so does o where the sum puts it at an end of its box to t ulps,
+    except the first weight where all t + 1 variables are.  The working set
+    holds sum(v) = k, always; where t = n, o's box [0, 0] holds it for good.
     The minimiser is the same from either start where the QP is strictly
     convex (B of full column rank, generically so for t <= q + k < m).
     There, when t <= m and every Cholesky pivot of B^T B exceeds the rank
     bound of the steps below, a primal-dual active-set crash
-    (``_pdas_crash``) runs first from the partition of that start, o at an
-    end of its box if the start's sum puts it there to t ulps.  Its last
-    point starts the method, and its partition (o's state only where
-    the partition repeated) is the first working set.  If that partition
-    repeated, the crash's last point minimises f on its face, so the method
-    begins at the multiplier test below, not at a step: it stops there at
-    once, or releases a bound and steps on.  The method, not the crash,
-    decides the certificate.  The working set holds sum(v) = k, always, and
-    bounds at 0 or at the upper end; o starts free, unless the crash put it
-    at a bound or t = n: its box [0, 0] then holds it for good.
+    (``_pdas_crash``) runs first from the working set of that start, and
+    the method starts from its last point.  If the crash settled, that
+    point minimises f on its face, so the method begins at the multiplier
+    test below, not at a step: it stops there at once, or releases a bound
+    and steps on.  The method, not the crash, decides the certificate.
 
     Each step minimises f over the free variables F with the working set
     fixed: a least-squares step in the columns [B, 0]_F Z, Z = [I; -1^T],
@@ -516,11 +516,10 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
             pass
     ulps = t * np.finfo(float).eps
 
-    def working_set(w: np.ndarray, o_state):
+    def working_set(w: np.ndarray):
         """(w, bound) for start weights w on S, made feasible; every weight
-        at 0 or 1 is in the working set, o in o_state, or at an end of its
-        box where o_state is None and w's sum puts it there to t ulps (at 0
-        for good when t = n)."""
+        at 0 or 1 is in the working set, and o at an end of its box where
+        w's sum puts it there to t ulps (at 0 for good when t = n)."""
         # w clipped to [0, 1]^t, or projected unclipped onto the capped
         # simplex of sum lo or hi if that sum leaves [lo, hi]; off it by
         # rounding alone (t ulps) counts as on it: a projection would move
@@ -533,32 +532,24 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         # -1: v_i = 0, +1: v_i = upper_i, in the crash's int8
         bound = np.empty(t + 1, dtype=np.int8)
         bound[:t] = (w == 1.0).astype(np.int8) - (w == 0.0)
-        if o_state is None:
-            o = k - w.sum()
-            o_state = -1 if o <= ulps else 1 if o >= n - t - ulps else 0
-        bound[t] = -1 if t == n else o_state
+        o = k - w.sum()
+        bound[t] = (-1 if t == n or o <= ulps else 1 if o >= n - t - ulps
+                    else 0)
         if bound.all():  # the sum and t + 1 bounds are dependent: free one
             bound[0] = 0
         return w, bound
 
-    # the crash takes o's first state from the start's sum; the method alone
-    # starts with o free
-    w, bound = working_set(start[supp], None if crash else 0)
+    w, bound = working_set(start[supp])
     steps = 0
     # at_minimum: v minimises f on the working set
     at_minimum = False
     if crash:
         # 2 max_j ||B e_j||^2 <= L = 2 lambda_max(B^T B): the sign test's
-        # scale only needs to be positive
-        w, partitions = _pdas_crash(gram, b_sub.T @ y, w, bound, upper, k,
-                                    2.0 * col_max**2)
-        steps = len(partitions) - 1
-        # a repeated partition is the face of its last point, which minimises
-        # f there: the method starts at its multiplier test, and o keeps its
-        # state only from such a partition
-        at_minimum = steps > 0 and np.array_equal(partitions[-1],
-                                                  partitions[-2])
-        w, bound = working_set(w, partitions[-1][t] if at_minimum else 0)
+        # scale only needs to be positive; a settled crash's last point
+        # minimises f on its face, so the method starts at its multiplier test
+        w, steps, at_minimum = _pdas_crash(gram, b_sub.T @ y, w, bound, upper,
+                                           k, 2.0 * col_max**2)
+        w, bound = working_set(w)
     v = np.append(w, 0.0)
     grad = np.zeros(t + 1)  # o moves no residual: its gradient stays 0
     # multipliers above -slack keep the gap <= 2 k slack, half its bound;

@@ -129,6 +129,25 @@ def test_acceptance_06_one_step_error_bound():
                "analyzable instances", ok)
 
 
+def test_one_step_error_bound_where_rho_is_below_one():
+    # acceptance 6 draws rho of 10-208, so its bound holds whatever the step
+    # does; tall Gaussian matrices (m = 1500, n = 12) give RICs small enough
+    # for rho < 1, where the bound says the PGOT step contracts
+    rng = np.random.default_rng(0)
+    m, n, k = 1500, 12, 1
+    rhos = []
+    for _ in range(20):
+        a = rng.standard_normal((m, n)) / np.sqrt(m)
+        x_star = np.zeros(n)
+        x_star[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+        x_p = np.zeros(n)
+        x_p[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+        lhs, rhs, holds = verify_one_step_bound(a, x_star, x_p, 2 * k, k)
+        assert holds and lhs > 0.0
+        rhos.append(rhs / np.linalg.norm(x_p - x_star))
+    assert sum(rho < 1.0 for rho in rhos) >= 15
+
+
 K_GRID = (2, 6, 10, 14, 18, 22, 26, 30)
 
 

@@ -91,6 +91,24 @@ def test_experiment_config_validation():
                              trace_iterations=iterations)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("k_grid", (3.0,), "k=3.0 must be an integer"),
+    ("k_grid", (2, True), "k=True must be an integer"),
+    ("trials", 1.5, "trials=1.5 must be an integer"),
+    ("m", 10.0, "m=10.0 must be an integer"),
+    ("seed", 7.0, "seed=7.0 must be an integer"),
+    ("seed", -1, "seed=-1 must be nonnegative"),
+    ("q_list", (True,), "bad q token True"),
+])
+def test_experiment_config_rejects_non_integers_and_a_negative_seed(
+        field, value, message):
+    # checked here, not inside the first cell
+    kwargs = dict(m=10, n=20, k_grid=(2,))
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ExperimentConfig(**kwargs)
+
+
 def test_experiment_config_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="'pgrtop'"):
         ExperimentConfig(m=10, n=20, k_grid=(2,), algorithms=("sp", "pgrtop"))

@@ -231,6 +231,16 @@ def test_bench_trace_rejects_other_algorithms_and_k(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_rejects_a_negative_seed_by_name(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["bench", "--experiment", "success", "--m", "20", "--n", "40",
+                 "--k-grid", "2", "--algos", "sp", "--trials", "1",
+                 "--seed", "-1", "--csv", str(out)])
+    assert code == 1
+    assert "seed=-1 must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("iterations", ["0", "-3"])
 def test_bench_trace_rejects_nonpositive_trace_iters(iterations, tmp_path,
                                                      capsys):

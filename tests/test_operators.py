@@ -33,6 +33,19 @@ def test_hard_threshold_rejects_bad_k():
         hard_threshold([1, 2], 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda k: hard_threshold([1.0, 2.0, 3.0], k),
+    lambda k: project_capped_simplex([0.2, 0.9, 0.4], k),
+    lambda k: exact_optimal_threshold(np.eye(3), np.ones(3), np.ones(3), k),
+    lambda k: solve_rot(np.eye(3), np.ones(3), np.ones(3), k),
+], ids=["hard_threshold", "project", "exact_optimal_threshold", "solve_rot"])
+@pytest.mark.parametrize("k", [2.0, True])
+def test_operators_reject_a_non_integer_k(call, k):
+    # an integral float would fail later with a bare numpy TypeError
+    with pytest.raises(ValueError, match=f"^k={k!r} must be an integer"):
+        call(k)
+
+
 def test_hard_threshold_is_best_k_sparse_approximation():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -661,7 +674,7 @@ def test_solve_rot_active_set_path_is_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [10, 20, 30])
-def test_solve_rot_projects_at_most_once_per_iteration(k, monkeypatch):
+def test_solve_rot_projects_at_most_once_per_call(k, monkeypatch):
     # the active-set steps and the certificate never project: only a start
     # or crash point whose clipped sum leaves [lo, hi] is projected
     calls = []
@@ -881,7 +894,8 @@ def test_operators_takes_no_eigendecomposition():
 
 def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
     # found by search: from the cold start, the crash's partitions return to
-    # an earlier one (period 2), and the kernel goes on from its last point
+    # an earlier one (period 2) well before the cap, so it stops unsettled,
+    # and the kernel goes on from its last point
     rng = np.random.default_rng(0)
     t, m, n, k = 4, 5, 5, 2
     a = rng.standard_normal((m, n))
@@ -892,16 +906,16 @@ def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
     crash = operators._pdas_crash
 
     def recording_crash(*args):
-        w, partitions = crash(*args)
-        crashes.append(partitions)
-        return w, partitions
+        result = crash(*args)
+        crashes.append(result)
+        return result
 
     monkeypatch.setattr(operators, "_pdas_crash", recording_crash)
     sol = solve_rot(a, y, u, k)
-    [partitions] = crashes
-    assert not np.array_equal(partitions[-1], partitions[-2])
-    assert any(np.array_equal(partitions[-1], p) for p in partitions[:-2])
-    assert sol.iterations > len(partitions) - 1  # the kernel took steps too
+    [(_, iterations, settled)] = crashes
+    assert not settled
+    assert 2 <= iterations < operators.ROT_MAX_ITERATIONS
+    assert sol.iterations > iterations  # the kernel took steps too
     _assert_certified(a, y, u, k, sol)
     oracle = _rot_pattern_oracle(a[:, :t] * u[:t], y, max(0, k - (n - t)), k)
     assert sol.objective == pytest.approx(oracle, abs=1e-10)
@@ -915,9 +929,9 @@ def test_solve_rot_settled_crash_takes_no_kernel_step(n, k, t, monkeypatch):
     crash = operators._pdas_crash
 
     def recording_crash(*args):
-        w, partitions = crash(*args)
-        crashes.append(partitions)
-        return w, partitions
+        result = crash(*args)
+        crashes.append(result)
+        return result
 
     monkeypatch.setattr(operators, "_pdas_crash", recording_crash)
     rng = np.random.default_rng(80 + 10 * n + t)
@@ -934,12 +948,12 @@ def test_solve_rot_settled_crash_takes_no_kernel_step(n, k, t, monkeypatch):
         for start in (None, rng.uniform(-0.5, 1.5, n)):
             crashes.clear()
             sol = solve_rot(a, y, u, k, start)
-            [partitions] = crashes
+            [(_, iterations, crash_settled)] = crashes
             _assert_certified(a, y, u, k, sol)
             assert sol.objective == pytest.approx(oracle, abs=1e-10)
-            if np.array_equal(partitions[-1], partitions[-2]):
+            if crash_settled:
                 settled += 1
-                assert sol.iterations == len(partitions) - 1
+                assert sol.iterations == iterations
     assert settled >= 3  # the crash also stops by cycling or binding all
 
 
@@ -959,13 +973,11 @@ def test_solve_rot_releases_a_wrong_face_from_a_settled_crash(monkeypatch):
     kkt[-1, -1] = 0.0
     face_w = np.append(0.0, np.linalg.solve(kkt, np.append(corr[1:], k))[:-1])
     assert np.all(face_w[1:] > 0.0) and np.all(face_w[1:] < 1.0)
-    face = np.zeros(n + 1, dtype=np.int8)  # a partition, as the crash's
-    face[[0, n]] = -1
     crashes = []
 
     def wrong_crash(gram, corr, w, bound, upper, k, scale):
         crashes.append(1)
-        return face_w.copy(), [bound, face, face]
+        return face_w.copy(), 2, True
 
     monkeypatch.setattr(operators, "_pdas_crash", wrong_crash)
     sol = solve_rot(a, y, u, k)
@@ -1026,11 +1038,28 @@ def test_solve_rot_restarted_at_its_minimiser_takes_one_step():
         sol = solve_rot(a, y, u, 4, cold.w)
         assert sol.converged and sol.iterations == 1, (t, sol.iterations)
         assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
+    # m < t < n: no crash, and o takes its state from the start's sum as a
+    # weight does from its value, so the method's first Newton step lands
+    # where it starts; where at most one variable is free, no step is taken
+    rng = np.random.default_rng(71)
+    steps = []
+    for _ in range(50):
+        t = int(rng.integers(6, 12))
+        a = rng.standard_normal((t - 2, 12))
+        y = rng.standard_normal(t - 2)
+        u = np.zeros(12)
+        u[rng.choice(12, size=t, replace=False)] = rng.standard_normal(t)
+        cold = solve_rot(a, y, u, 4)
+        sol = solve_rot(a, y, u, 4, cold.w)
+        assert sol.converged and sol.iterations <= 1, (t, sol.iterations)
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
+        steps.append(sol.iterations)
+    assert steps.count(1) >= 45
 
 
 def test_solve_rot_projects_an_out_of_range_start_unclipped(monkeypatch):
-    # the clipped start sums to 5 > hi = 3: the start is projected as the
-    # certificate projects, from its entries before the clip
+    # the clipped start sums to 5 > hi = 3: the start is projected from its
+    # entries before the clip
     calls = []
     project = operators.project_capped_simplex
 

@@ -13,6 +13,26 @@ from pgthresh.bench import ExperimentConfig, make_trial_problem
 from pgthresh.solvers import _partial_gradient_point
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", 3.0), ("k", 2.5), ("k", True), ("q", 6.0)])
+def test_problem_instance_rejects_a_non_integer_size(field, value):
+    # an integral float or a bool would fail, or run as 1, deep inside a solve
+    sizes = {"k": 3, "q": 6, field: value}
+    with pytest.raises(ValueError, match=f"^{field}={value!r} must be an integer"):
+        ProblemInstance(np.eye(8), np.ones(8), **sizes)
+
+
+def test_problem_instance_takes_numpy_integer_sizes():
+    problem = ProblemInstance(np.eye(8), np.ones(8), k=np.int64(3), q=np.int32(6))
+    assert solve(problem, "pgrotp").final_x.shape == (8,)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_solver_config_rejects_a_non_integer_budget(value):
+    with pytest.raises(ValueError, match=f"^max_iterations={value!r} must be"):
+        SolverConfig(max_iterations=value)
+
+
 def _planted(m, n, k, q, seed, sigma=0.0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n)) / np.sqrt(m)
