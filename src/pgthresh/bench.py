@@ -98,6 +98,7 @@ def gen_gaussian_matrix(m: int, n: int, seed, scaling: str = "inv_sqrt_m") -> np
 
 def gen_sparse_vector(n: int, k: int, seed) -> np.ndarray:
     """Exactly k nonzeros on a uniform random support, N(0,1) values."""
+    check_integer(k, "k")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} must be in [0, {n}]")
     rng = np.random.default_rng(seed)

@@ -445,16 +445,15 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     fixed: a least-squares step in the columns [B, 0]_F Z, Z = [I; -1^T],
     so the last free variable pays to keep the sum (o while it is free: its
     zero column leaves B_F).  The step is cut at the first blocking bound,
-    which joins the working set.  If a column of [B, 0]_F Z lies within
-    1e-6 times the largest column norm of B (the rank bound) of the span of
-    the columns before it (a Cholesky pivot of the reduced Hessian), or
-    there are more columns than rows, the Hessian is singular: the right
-    singular vectors whose singular values are at most that bound are
-    directions of zero curvature.  Each step then follows one of them,
-    signed to descend, to the next bound, and the rest are combined to keep
-    the bound that joined, one direction fewer; so one SVD serves until none
-    is left.  At the minimiser on the working set the
-    bound with the most negative multiplier leaves it; the method stops
+    which joins the working set.  If a column of C = [B, 0]_F Z lies within
+    1e-6 times the largest column norm of B (the rank bound, rank_tol) of
+    the span of the columns before it (a Cholesky pivot of the reduced
+    Hessian), or there are more columns than rows, the columns are
+    dependent, and the step takes a ridge of rank_tol^2 on their Gram
+    matrix: (C^T C + rank_tol^2 I)^-1 C^T r, or C^T (C C^T + rank_tol^2 I)^-1 r
+    in the smaller Gram matrix where there are more columns than rows.
+    After a step that reaches no bound, the bound with the most negative
+    multiplier leaves the working set; the method stops
     once none is below -tol / (4 k), with tol = ROT_TOLERANCE max(||y||^2,
     max_j ||B e_j||^2): relative to ||y||^2, with a floor that keeps it above
     rounding where y = 0.  Ties go to the lowest index, so o comes after
@@ -557,9 +556,6 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     gap_bound = ROT_TOLERANCE * max(float(y @ y), col_max**2)
     slack = gap_bound / (4.0 * k)
 
-    # columns: zero-curvature directions p (B p ~ 0) that keep the working
-    # set; only the rows of free variables are read
-    null = np.zeros((t + 1, 0))
     # regular: the last step was a Newton step cut short by a bound on a
     # variable other than the last free one (which pays for s), so the
     # reduced Hessian lost a column and kept the rest
@@ -583,8 +579,7 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         # p_F = Z s keeps the sum: the last free variable pays for s; while
         # o is free it is last, and its zero column leaves the columns B_F
         cols = b_sub[:, free[:-1]]
-        o_free = free[-1] == t
-        if not o_free:
+        if free[-1] != t:
             cols -= b_sub[:, free[-1:]]
         d = cols.shape[1]
         if d == 0:
@@ -593,38 +588,31 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         if steps == ROT_MAX_ITERATIONS:
             break
         steps += 1
-        if not null.shape[1]:  # is the reduced Hessian singular?
+        # dependent columns C (more than rows, or a Cholesky pivot <=
+        # rank_tol) take the step with a ridge of rank_tol^2 on their Gram
+        # matrix, the smaller one where there are more columns than rows:
+        # s = C^T (C C^T + rank_tol^2 I)^-1 r
+        singular = d > y.size
+        if singular:
+            gram_m = cols @ cols.T
+            gram_m.flat[::y.size + 1] += rank_tol**2
+            s = cols.T @ np.linalg.solve(gram_m, r)
+        else:
             hess = cols.T @ cols
             # pivot j of its Cholesky factor is the distance of column j to
             # the span of those before, so losing a column lowers no pivot
-            singular = False
             if not regular:
-                try:  # more columns than rows are dependent
-                    singular = (d > y.size or np.linalg.cholesky(hess)
-                                .diagonal().min() <= rank_tol)
+                try:
+                    singular = (np.linalg.cholesky(hess).diagonal().min()
+                                <= rank_tol)
                 except np.linalg.LinAlgError:
                     singular = True
             if singular:
-                # right singular vectors of singular values <= rank_tol; a
-                # pivot <= rank_tol bounds the least singular value by
-                # rank_tol up to rounding, so keep at least that one
-                sv, vt = np.linalg.svd(cols)[1:]
-                basis = vt[min(np.count_nonzero(sv > rank_tol), d - 1):].T
-                null = np.zeros((t + 1, basis.shape[1]))
-                null[free] = np.vstack([basis, -basis.sum(axis=0)])
-        newton = not null.shape[1]
-        if newton:
+                hess.flat[::d + 1] += rank_tol**2
             # the Cholesky factor only tests: numpy has no triangular solve,
             # and two general solves with it are slower than one with hess
             s = np.linalg.solve(hess, cols.T @ r)
-            p = np.concatenate((s, [-s.sum()]))
-        else:  # f is linear along p: grad . p = -2 r . (B p)
-            p = null[free, 0]
-            # o's zero column stays in the product: one column fewer rounds
-            # differently, and a slope near 0 could change its sign
-            b_f = np.pad(cols, ((0, 0), (0, 1))) if o_free else b_sub[:, free]
-            if r @ (b_f @ p) < 0.0:
-                p = -p
+        p = np.concatenate((s, [-s.sum()]))
         v_f = v[free]
         ratio = np.full(free.size, np.inf)
         down, up = p < 0.0, p > 0.0
@@ -632,21 +620,15 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         ratio[up] = (upper[free[up]] - v_f[up]) / p[up]
         ratio = ratio.clip(0.0)
         i = int(np.argmin(ratio))  # on ties the lowest index: o is last
-        if newton and ratio[i] >= 1.0:
+        if ratio[i] >= 1.0:
             v[free] = v_f + p
             at_minimum = True
             continue
         v[free] = v_f + ratio[i] * p
-        regular = newton and i < free.size - 1
+        regular = not singular and i < free.size - 1
         j = free[i]
         bound[j] = 1 if p[i] > 0.0 else -1
         v[j] = upper[j] if p[i] > 0.0 else 0.0
-        if null.shape[1]:
-            # the directions that keep the new bound too: eliminate its row
-            # with the largest entry as pivot, one direction fewer
-            row = null[j]
-            c = int(np.argmax(np.abs(row)))
-            null = np.delete(null - np.outer(null[:, c], row / row[c]), c, axis=1)
     w = v[:t]
     # r is the residual of w: the multiplier test that ended the loop formed
     # it and the gradient; at the cap only the gradient is left to form

@@ -15,6 +15,7 @@ from math import sqrt
 import numpy as np
 
 from . import operators
+from .model import check_integer
 from .solvers import pgot_step
 
 _GOLDEN = (sqrt(5.0) + 1.0) / 2.0
@@ -156,6 +157,7 @@ def brute_force_ric(a, s: int) -> float:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
+    check_integer(s, "s")
     if not 1 <= s <= n:
         raise ValueError(f"s={s} must be in [1, {n}]")
     rows = operators.subsets(n, s)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pgthresh import bench
+from pgthresh import bench, brute_force_ric
 from pgthresh.bench import (CellResult, ExperimentConfig, gen_gaussian_matrix,
                             gen_sparse_vector, iteration_count_experiment,
                             objective_trace_experiment, resolve_q,
@@ -107,6 +107,17 @@ def test_experiment_config_rejects_non_integers_and_a_negative_seed(
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"^{message}"):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda value: brute_force_ric(np.eye(4), value), "s"),
+    (lambda value: gen_sparse_vector(10, value, 1), "k"),
+], ids=["brute_force_ric", "gen_sparse_vector"])
+@pytest.mark.parametrize("value", [2.0, True])
+def test_public_entry_points_reject_a_non_integer_size(call, name, value):
+    # an integral float or a bool would fail later with a bare TypeError
+    with pytest.raises(ValueError, match=f"^{name}={value!r} must be an integer"):
+        call(value)
 
 
 def test_experiment_config_rejects_unknown_algorithm():

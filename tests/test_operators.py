@@ -885,11 +885,12 @@ def test_solve_rot_zero_columns_on_the_support(y):
 
 
 def test_operators_takes_no_eigendecomposition():
-    # solve_rot's certificate, rank bound and crash gate need no L
+    # solve_rot's certificate, rank bound and crash gate need no L, and a
+    # face with dependent columns takes a ridge step, not an SVD null space
     tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
     calls = {ast.unparse(node.func).rsplit(".", 1)[-1]
              for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert not calls & {"eig", "eigh", "eigvals", "eigvalsh"}
+    assert not calls & {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
 
 
 def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
@@ -1145,8 +1146,8 @@ def test_solve_rot_exactly_singular_gram(make, k):
 
 def test_solve_rot_nearly_dependent_columns():
     # a column 3e-7 from zero and one 3e-7 from a copy count as dependent:
-    # f is then nearly, not exactly, linear along the zero-curvature steps,
-    # and the solve must still end certified
+    # the ridge steps then see a Gram matrix that is nearly, not exactly,
+    # singular, and the solve must still end certified
     for seed in range(20):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((6, 10)) / np.sqrt(6)
