@@ -5,16 +5,15 @@ capped simplex {w : sum w = k, 0 <= w <= 1}, and the two subproblems of a
 PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
 supp(u): the exact binary one (``optimal_threshold_on_support``) and its
 convex relaxation (``solve_rot``), a boxed least-squares QP with sum k
-over the weights on supp(u) and their total off it, solved exactly by a
-primal active-set method from the uniform weights k / n or from given
-ones.  Where the QP is strictly convex, a primal-dual active-set crash first
-moves the start to the partition it finds, and the primal method finishes
-from there.  The certificate is the Frank-Wolfe gap of the result, an upper
-bound on its objective gap from one sort of the gradient; the kernel takes
-no eigendecomposition.  Only the starts, cold, given or from the crash, are
-projected onto the feasible set; the steps and the certificate never are.
-``subset_levels`` is the one exhaustive enumeration, level by level under
-``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
+over the weights on supp(u) and their total off it.  One method solves the
+relaxation, from the uniform weights k / n or from given ones: a
+primal-dual active-set crash in proximal rounds, which serves t <= m and
+t > m alike.  The certificate is the Frank-Wolfe gap of each round's point,
+an upper bound on its objective gap from one sort of the gradient; the
+kernel takes no eigendecomposition.  Only the starts and the rounds' points
+are projected onto the feasible set; the crash and the certificate never
+are.  ``subset_levels`` is the one exhaustive enumeration, level by level
+under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
 ``theory.brute_force_ric``: each j-subset is a (j - 1)-subset, its parent,
 with one larger index appended.
 """
@@ -42,8 +41,8 @@ EXHAUSTIVE_LIMIT = 200_000
 # floats = 512 KiB), and entries a cached subset level may hold
 CHUNK_FLOATS = 2**16
 
-# solve_rot's certificate bound, relative to ||y||^2, and its active-set
-# step cap
+# solve_rot's certificate bound, relative to ||y||^2, and its cap on crash
+# iterations, all rounds together
 ROT_TOLERANCE = 1e-8
 ROT_MAX_ITERATIONS = 5000
 
@@ -324,28 +323,34 @@ def optimal_threshold_on_support(a, y, u, k: int):
     return w, u * w
 
 
-def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
-    """(w, iterations, settled): a primal-dual active-set crash start for
-    solve_rot's QP, with B^T B = gram of full rank and B^T y = corr
-    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002).
+def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
+    """(w, iterations, settled): the primal-dual active-set method of
+    Hintermueller, Ito & Kunisch (SIAM J. Optim. 13(3), 2002) on
+    min w^T gram w - 2 corr^T w over v = (w, o) in the box 0 <= v <= upper
+    with sum(v) = k, for gram positive definite: o, the last variable, has
+    no term in the objective.  solve_rot runs it in proximal rounds.
 
-    A partition is an int8 array over v = (w, o): -1 at 0, +1 at the upper
-    end, 0 free.  The first is ``bound``, o's state included, which the
-    crash does not modify; it must be int8 like the later ones, which are
-    compared with it as bytes.  Each iteration minimises f with the bound
+    A partition is an int8 array over v: -1 at 0, +1 at the upper end, 0
+    free.  The first is ``bound``, o's state included, which the crash does
+    not modify; it must be int8 like the later ones, which are compared with
+    it as bytes.  Each iteration minimises the objective with the bound
     variables fixed and sum(v) = k, which gives the free weights and the
     multiplier sigma of the sum (the two right-hand sides of that solve
     share one t x 2 array for the whole crash), then puts every variable at
-    0, at its upper end or free by where z = v - (grad f(v) + sigma) / scale
+    0, at its upper end or free by where z = v - (grad + sigma) / scale
     falls against [0, upper].  Any scale > 0 gives the same partition up to
-    rounding: grad f + sigma vanishes on the free variables, and on a bound
-    one only its sign counts.  It stops when the new partition repeats the
-    last (settled) or an earlier one (cycling), when no weight is free while
-    o is bound, or after ROT_MAX_ITERATIONS iterations.  w is the last
-    point (the given one if no iteration ran).  If the crash settled, w
-    minimises f on the face of that partition, in the box up to rounding,
-    with every bound's multiplier of the sign the partition tested;
-    otherwise it may lie outside the box.
+    rounding: grad + sigma vanishes on the free variables, and on a bound
+    one only its sign counts.  Where that test binds every variable, the
+    weight whose z lies nearest its box is freed, so every partition keeps
+    a free variable to take up the sum.  The crash stops when the new
+    partition repeats the last (settled) or an earlier one (cycling), or
+    after ``cap`` >= 1 iterations; w is the last point.  If it settled, w
+    minimises the objective on the face of that partition, with every
+    bound's multiplier of the sign the partition tested, and lies in the box
+    up to rounding unless the last test freed a weight; otherwise it may lie
+    outside the box.  HIK prove that the method converges where gram is an
+    M-matrix; B^T B + eps I need not be one, so solve_rot's rule for a crash
+    that does not settle is a measured safeguard, not a proof.
     """
     t = gram.shape[0]
     key = bound.tobytes()
@@ -354,54 +359,51 @@ def _pdas_crash(gram, corr, w, bound, upper, k: int, scale: float):
     # the first |F| rows hold an iteration's two right-hand sides: column 0
     # the reduced correlation, column 1 the ones of the bordered system
     rhs = np.ones((t, 2))
-    iterations = 0
-    while iterations < ROT_MAX_ITERATIONS:
+    for iterations in range(1, cap + 1):
         at_one = bound[:t] > 0
         free = np.flatnonzero(bound[:t] == 0)
-        point = at_one.astype(float)
+        w = at_one.astype(float)
         gram_f = gram[free]
         rhs_f = rhs[:free.size]
-        rhs_f[:, 0] = corr[free] - gram_f @ point
-        o = upper[t] if bound[t] > 0 else 0.0
+        rhs_f[:, 0] = corr[free] - gram_f @ w
         if bound[t] == 0:  # o free: its gradient is 0, so sigma is too
             sigma = 0.0
             if free.size:
-                point[free] = np.linalg.solve(gram_f[:, free], rhs_f[:, 0])
-            o = k - point.sum()
-        elif free.size:
+                w[free] = np.linalg.solve(gram_f[:, free], rhs_f[:, 0])
+            o = k - w.sum()
+        else:
             # G_FF w_F = rhs - sigma / 2 with sum(w_F) = k - o - |U|: the
             # bordered system, solved through its Schur complement; the two
             # column sums stay apart (one sum over axis 0 rounds differently)
+            o = upper[t] if bound[t] > 0 else 0.0
             sol = np.linalg.solve(gram_f[:, free], rhs_f)
             half = (sol[:, 0].sum() - (k - o - at_one.sum())) / sol[:, 1].sum()
-            point[free] = sol[:, 0] - half * sol[:, 1]
+            w[free] = sol[:, 0] - half * sol[:, 1]
             sigma = 2.0 * half
-        else:  # every variable bound: no free weight takes up the sum
-            break
-        w = point
         z[:t] = w - (2.0 * (gram @ w - corr) + sigma) / scale
         z[t] = o - sigma / scale
         bound = (z >= upper).astype(np.int8) - (z <= 0.0)
         if upper[t] == 0.0:  # o's box is [0, 0] when t = n
             bound[t] = -1
-        iterations += 1
+        if bound.all():  # the distance of z_i to [0, 1] where it is bound
+            bound[np.argmin(np.maximum(-z[:t], z[:t] - 1.0))] = 0
         last, key = key, bound.tobytes()
         if key in seen:  # settled, or cycling
             return w, iterations, key == last
         seen.add(key)
-    return w, iterations, False
+    return w, cap, False
 
 
 @dataclass
 class RotSolution:
     """Result of the relaxed optimal-thresholding quadratic program.
 
-    ``iterations`` counts the crash's iterations and the active-set steps
-    together; ``gap``, the Frank-Wolfe gap of ``w``, bounds ``objective``
+    ``iterations`` counts the crash iterations of every round, retries
+    included; ``gap``, the Frank-Wolfe gap of ``w``, bounds ``objective``
     minus the least objective and is never negative, and it and
     ``converged`` are the certificate of ``w`` (see ``solve_rot``).
     ``objective`` and ``gap`` come from the one residual of ``w`` that the
-    method's last multiplier test formed.
+    kernel's last gap test formed.
     """
 
     w: np.ndarray
@@ -421,59 +423,47 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     0 <= v <= (1, ..., 1, n - t) with sum(v) = k.  The returned w gives each
     entry off S the share o / (n - t), clipped to [0, 1].
 
-    Primal active-set method (Nocedal & Wright, Numerical Optimization,
-    2nd ed., Alg. 16.3) from w_S = k / n, or from ``start``, a finite
-    length-n weight vector (say the previous outer step's weights; anything
-    else raises ValueError).  Every start, and the crash's last point below,
-    takes one path: its entries on S are clipped to [0, 1], or, if that sum
-    leaves [lo, hi] by more than t ulps, projected unclipped onto the capped
-    simplex of sum lo or hi.  Every weight at 0 or 1 starts in the working
-    set, and so does o where the sum puts it at an end of its box to t ulps,
-    except the first weight where all t + 1 variables are.  The working set
-    holds sum(v) = k, always; where t = n, o's box [0, 0] holds it for good.
-    The minimiser is the same from either start where the QP is strictly
-    convex (B of full column rank, generically so for t <= q + k < m).
-    There, when t <= m and every Cholesky pivot of B^T B exceeds the rank
-    bound of the steps below, a primal-dual active-set crash
-    (``_pdas_crash``) runs first from the working set of that start, and
-    the method starts from its last point.  If the crash settled, that
-    point minimises f on its face, so the method begins at the multiplier
-    test below, not at a step: it stops there at once, or releases a bound
-    and steps on.  The method, not the crash, decides the certificate.
+    The kernel starts from w_S = k / n, or from ``start``, a finite length-n
+    weight vector (say the previous outer step's weights; anything else
+    raises ValueError).  Every start, and every round's point below, takes
+    one path: its entries on S are clipped to [0, 1], or, if that sum leaves
+    [lo, hi] by more than t ulps, projected unclipped onto the capped simplex
+    of sum lo or hi.  Its partition binds every weight at 0 or 1, and o where
+    the sum puts it at an end of its box to t ulps, except the first weight
+    where all t + 1 variables are; where t = n, o's box [0, 0] binds it for
+    good.
 
-    Each step minimises f over the free variables F with the working set
-    fixed: a least-squares step in the columns [B, 0]_F Z, Z = [I; -1^T],
-    so the last free variable pays to keep the sum (o while it is free: its
-    zero column leaves B_F).  The step is cut at the first blocking bound,
-    which joins the working set.  If a column of C = [B, 0]_F Z lies within
-    1e-6 times the largest column norm of B (the rank bound, rank_tol) of
-    the span of the columns before it (a Cholesky pivot of the reduced
-    Hessian), or there are more columns than rows, the columns are
-    dependent, and the step takes a ridge of rank_tol^2 on their Gram
-    matrix: (C^T C + rank_tol^2 I)^-1 C^T r, or C^T (C C^T + rank_tol^2 I)^-1 r
-    in the smaller Gram matrix where there are more columns than rows.
-    After a step that reaches no bound, the bound with the most negative
-    multiplier leaves the working set; the method stops
-    once none is below -tol / (4 k), with tol = ROT_TOLERANCE max(||y||^2,
-    max_j ||B e_j||^2): relative to ||y||^2, with a floor that keeps it above
-    rounding where y = 0.  Ties go to the lowest index, so o comes after
-    every weight.
+    The kernel is the primal-dual active-set crash (``_pdas_crash``) in
+    proximal rounds (Rockafellar, SIAM J. Control Optim. 14(5), 1976).
+    Round j minimises f(v) + eps ||w_S - w_j||^2 from the partition of its
+    point w_j: the crash on G + eps I and B^T y + eps w_j, G = B^T B, with the
+    sign-test scale 2 (c + eps), c = max_j ||B e_j||^2.  A crash that settles
+    gives the next point; one that does not settle within 30 iterations is
+    retried from w_j with eps ten times larger, at least 1e-6 c.  eps starts
+    at 0 where B has full column rank by the kernel's rank test (t <= m and
+    every Cholesky pivot of G above rank_tol = 1e-6 sqrt(c)), and at 1e-6 c
+    otherwise; after a crash that settles it becomes max(eps / 10, 1e-8 c),
+    so a point that fails the gap test after a crash on f itself gets
+    proximal rounds, not the same crash again.  So where the QP is strictly
+    convex (B of full column rank, generically so for t <= q + k < m), the
+    first crash usually settles on the minimiser; where t > m the minimiser
+    need not be unique, and the rounds reach one.  The rounds stop once the
+    gap of f at the point is at most 1e-5 tol, tol = ROT_TOLERANCE
+    max(||y||^2, c): relative to ||y||^2, with a floor that keeps it above
+    rounding where y = 0.  The gap is tested on the start too, so a call
+    restarted at its own minimiser takes no iteration.
 
-    ``iterations`` counts the crash's iterations and the steps, at most
-    ROT_MAX_ITERATIONS in all.  ``gap`` is the Frank-Wolfe gap
-    grad f(v) . v - min grad f(v) . v' of the returned v over the feasible
-    v' (Frank & Wolfe 1956; Jaggi, ICML 2013), which bounds f(v) - min f by
-    convexity.  o's gradient is 0, so that minimum puts 1 on the smallest
-    entries of grad f(w_S), as many as are negative but at least lo and at
-    most hi: one sort.  The gap is never negative in exact arithmetic; where
-    it rounds below 0 it is returned as 0.  At the multiplier test,
-    multipliers above -s give a gap of at most 2 k s, so the test's slack
-    keeps it to tol / 2.  The residual y - B w_S and the gradient that the
-    last multiplier test forms also give the gap and ``objective``; a solve
-    stopped at the cap forms the gradient once, from the residual its last
-    iteration formed.  Partitions and working sets are int8 arrays.
-    ``converged`` is true only if the method stopped at its multiplier test,
-    not at the cap, and the gap is at most tol.
+    ``iterations`` counts the crash iterations of every round, at most
+    ROT_MAX_ITERATIONS in all; a round that cap cuts short returns its start
+    w_j.  ``gap`` is the Frank-Wolfe gap grad f(v) . v - min grad f(v) . v'
+    of the returned v over the feasible v' (Frank & Wolfe 1956; Jaggi, ICML
+    2013), which bounds f(v) - min f by convexity.  o's gradient is 0, so
+    that minimum puts 1 on the smallest entries of grad f(w_S), as many as
+    are negative but at least lo and at most hi: one sort.  The gap is never
+    negative in exact arithmetic; where it rounds below 0 it is returned as
+    0.  The residual y - B w_S and the gradient that the last gap test forms
+    also give ``objective``.  Partitions are int8 arrays.  ``converged`` is
+    true only if the rounds stopped at their gap test, not at the cap.
     """
     y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
     n, t = u.size, supp.size
@@ -490,35 +480,33 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     w = np.full(t, k / n)  # the restriction of the uniform feasible point
     if hi == 0 or lo == t:  # w, all 0 or all 1, is the only feasible point
         return solution(w, y - b_sub @ w, 0, 0.0, True)
-    # B^T B, where t <= m, is the crash's matrix; its diagonal holds the
-    # squared column norms of B
-    gram = b_sub.T @ b_sub if t <= y.size else None
-    sq_norms = (gram.diagonal() if gram is not None
-                else np.einsum("ij,ij->j", b_sub, b_sub))
-    col_max = float(np.sqrt(sq_norms.max()))
+    # G = B^T B, the crash's matrix; its diagonal holds the squared column
+    # norms of B
+    gram = b_sub.T @ b_sub
+    col_max = float(np.sqrt(gram.diagonal().max()))
     if col_max == 0.0:  # B = 0, or B has no rows: every feasible w is optimal
         return solution(w, y - b_sub @ w, 0, 0.0, True)
+    c = col_max**2
     # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
     upper = np.append(np.ones(t), n - t)
-    # a free column closer than rank_tol to the span of the free columns
-    # before it counts as dependent; the Cholesky pivots of their Gram matrix
-    # resolve that distance only down to about sqrt(eps) ||B||_2
-    rank_tol = 1e-6 * col_max
-    # B of full column rank by the kernel's rank test: the QP is strictly
-    # convex, and pivot j of every G_FF below, the distance of its column to
-    # the span of the free columns before it, is at least that of B^T B
-    crash = False
-    if gram is not None:
+    # B of full column rank by the rank test, rank_tol = 1e-6 col_max (a
+    # free column closer than that to the span of those before it counts as
+    # dependent; the Cholesky pivots of G resolve that distance only down to
+    # about sqrt(eps) ||B||_2): f is strictly convex, and the crash needs no
+    # proximal term
+    eps = 1e-6 * c
+    if t <= y.size:
         try:
-            crash = np.linalg.cholesky(gram).diagonal().min() > rank_tol
+            if np.linalg.cholesky(gram).diagonal().min() > 1e-6 * col_max:
+                eps = 0.0
         except np.linalg.LinAlgError:
             pass
     ulps = t * np.finfo(float).eps
 
     def working_set(w: np.ndarray):
         """(w, bound) for start weights w on S, made feasible; every weight
-        at 0 or 1 is in the working set, and o at an end of its box where
-        w's sum puts it there to t ulps (at 0 for good when t = n)."""
+        at 0 or 1 is bound, and o at an end of its box where w's sum puts it
+        there to t ulps (at 0 for good when t = n)."""
         # w clipped to [0, 1]^t, or projected unclipped onto the capped
         # simplex of sum lo or hi if that sum leaves [lo, hi]; off it by
         # rounding alone (t ulps) counts as on it: a projection would move
@@ -539,105 +527,30 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         return w, bound
 
     w, bound = working_set(start[supp])
-    steps = 0
-    # at_minimum: v minimises f on the working set
-    at_minimum = False
-    if crash:
-        # 2 max_j ||B e_j||^2 <= L = 2 lambda_max(B^T B): the sign test's
-        # scale only needs to be positive; a settled crash's last point
-        # minimises f on its face, so the method starts at its multiplier test
-        w, steps, at_minimum = _pdas_crash(gram, b_sub.T @ y, w, bound, upper,
-                                           k, 2.0 * col_max**2)
-        w, bound = working_set(w)
-    v = np.append(w, 0.0)
-    grad = np.zeros(t + 1)  # o moves no residual: its gradient stays 0
-    # multipliers above -slack keep the gap <= 2 k slack, half its bound;
-    # the floor keeps that bound above rounding where y = 0
-    gap_bound = ROT_TOLERANCE * max(float(y @ y), col_max**2)
-    slack = gap_bound / (4.0 * k)
-
-    # regular: the last step was a Newton step cut short by a bound on a
-    # variable other than the last free one (which pays for s), so the
-    # reduced Hessian lost a column and kept the rest
-    regular = False
+    corr = b_sub.T @ y
+    diag = gram.diagonal().copy()  # G's; the crash sees G + eps I
+    stop = 1e-5 * ROT_TOLERANCE * max(float(y @ y), c)
+    iterations = 0
     while True:
-        free = np.flatnonzero(bound == 0)
-        v[t] = k - v[:t].sum()  # afresh: updates to o would drift by rounding
-        r = y - b_sub @ v[:t]
-        if at_minimum:
-            grad[:t] = -2.0 * (b_sub.T @ r)
-            sigma = -grad[free].mean()  # the multiplier of sum(v) = k
-            # o on its box [0, 0] (t = n) never leaves
-            mult = np.where((bound != 0) & (upper > 0.0),
-                            -bound * (grad + sigma), np.inf)
-            i = int(np.argmin(mult))
-            if mult[i] >= -slack:
-                break
-            bound[i] = 0
-            at_minimum = regular = False
-            continue
-        # p_F = Z s keeps the sum: the last free variable pays for s; while
-        # o is free it is last, and its zero column leaves the columns B_F
-        cols = b_sub[:, free[:-1]]
-        if free[-1] != t:
-            cols -= b_sub[:, free[-1:]]
-        d = cols.shape[1]
-        if d == 0:
-            at_minimum = True
-            continue
-        if steps == ROT_MAX_ITERATIONS:
+        r = y - b_sub @ w
+        grad = -2.0 * (b_sub.T @ r)
+        # the Frank-Wolfe gap: the feasible v' minimising grad . v' puts 1 on
+        # the smallest entries of grad f(w), as many as are negative within
+        # [lo, hi]; never negative in exact arithmetic, it is clamped to +0.0
+        # where it rounds below (max keeps its first argument on a tie with
+        # -0.0)
+        ones = min(max(int(np.count_nonzero(grad < 0.0)), lo), hi)
+        gap = max(0.0, float(grad @ w - np.sort(grad)[:ones].sum()))
+        if gap <= stop or iterations == ROT_MAX_ITERATIONS:
             break
-        steps += 1
-        # dependent columns C (more than rows, or a Cholesky pivot <=
-        # rank_tol) take the step with a ridge of rank_tol^2 on their Gram
-        # matrix, the smaller one where there are more columns than rows:
-        # s = C^T (C C^T + rank_tol^2 I)^-1 r
-        singular = d > y.size
-        if singular:
-            gram_m = cols @ cols.T
-            gram_m.flat[::y.size + 1] += rank_tol**2
-            s = cols.T @ np.linalg.solve(gram_m, r)
+        gram.flat[::t + 1] = diag + eps
+        point, steps, settled = _pdas_crash(
+            gram, corr + eps * w, bound, upper, k, 2.0 * (c + eps),
+            min(30, ROT_MAX_ITERATIONS - iterations))
+        iterations += steps
+        if settled:
+            w, bound = working_set(point)
+            eps = max(eps / 10.0, 1e-8 * c)
         else:
-            hess = cols.T @ cols
-            # pivot j of its Cholesky factor is the distance of column j to
-            # the span of those before, so losing a column lowers no pivot
-            if not regular:
-                try:
-                    singular = (np.linalg.cholesky(hess).diagonal().min()
-                                <= rank_tol)
-                except np.linalg.LinAlgError:
-                    singular = True
-            if singular:
-                hess.flat[::d + 1] += rank_tol**2
-            # the Cholesky factor only tests: numpy has no triangular solve,
-            # and two general solves with it are slower than one with hess
-            s = np.linalg.solve(hess, cols.T @ r)
-        p = np.concatenate((s, [-s.sum()]))
-        v_f = v[free]
-        ratio = np.full(free.size, np.inf)
-        down, up = p < 0.0, p > 0.0
-        ratio[down] = v_f[down] / -p[down]
-        ratio[up] = (upper[free[up]] - v_f[up]) / p[up]
-        ratio = ratio.clip(0.0)
-        i = int(np.argmin(ratio))  # on ties the lowest index: o is last
-        if ratio[i] >= 1.0:
-            v[free] = v_f + p
-            at_minimum = True
-            continue
-        v[free] = v_f + ratio[i] * p
-        regular = not singular and i < free.size - 1
-        j = free[i]
-        bound[j] = 1 if p[i] > 0.0 else -1
-        v[j] = upper[j] if p[i] > 0.0 else 0.0
-    w = v[:t]
-    # r is the residual of w: the multiplier test that ended the loop formed
-    # it and the gradient; at the cap only the gradient is left to form
-    grad = grad[:t] if at_minimum else -2.0 * (b_sub.T @ r)
-
-    # the Frank-Wolfe gap: the feasible v' minimising grad . v' puts 1 on the
-    # smallest entries of grad f(w), as many as are negative within [lo, hi];
-    # never negative in exact arithmetic, it is clamped to +0.0 where it
-    # rounds below (max keeps its first argument on a tie with -0.0)
-    ones = min(max(int(np.count_nonzero(grad < 0.0)), lo), hi)
-    gap = max(0.0, float(grad @ w - np.sort(grad)[:ones].sum()))
-    return solution(w, r, steps, gap, at_minimum and gap <= gap_bound)
+            eps = max(10.0 * eps, 1e-6 * c)
+    return solution(w, r, iterations, gap, gap <= stop)

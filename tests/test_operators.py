@@ -361,7 +361,7 @@ def test_projection_examples():
 
 
 def test_one_feasible_set_projection_in_operators():
-    # solve_rot's start and the crash's last point share one clip-then-project
+    # solve_rot's start and each round's point share one clip-then-project
     # path; the certificate is the Frank-Wolfe gap, which never projects, and
     # operators imports nothing from linalg
     tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
@@ -575,7 +575,7 @@ def test_solve_rot_iteration_exhaustion_flagged(monkeypatch):
 
 
 def test_solve_rot_step_cap_counts_the_crash(monkeypatch):
-    # t = n = 20 <= m = 24: the primal-dual crash runs first, and its
+    # t = n = 20 <= m = 24: B has full column rank, and the crash's
     # iterations count against the cap; caps of one step and one step short
     for seed in (34, 36):
         rng = np.random.default_rng(seed)
@@ -649,9 +649,9 @@ def test_solve_rot_certifies_ill_conditioned_seed4_subproblem(monkeypatch):
 
 def test_solve_rot_active_set_path_is_pinned(monkeypatch):
     # steps per ROT solve of three pgrotp runs, crash iterations included; a
-    # change to the crash or active-set rules shows here first.  The counts
+    # change to the crash or to the rounds' rules shows here first.  The counts
     # may hang on rounding: their subproblems are strictly convex (t <= 3k <
-    # m), but a ratio or sign test can land within rounding of its threshold
+    # m), but a sign test can land within rounding of its threshold
     steps = []
     rot = solvers.solve_rot
 
@@ -675,8 +675,8 @@ def test_solve_rot_active_set_path_is_pinned(monkeypatch):
 
 @pytest.mark.parametrize("k", [10, 20, 30])
 def test_solve_rot_projects_at_most_once_per_call(k, monkeypatch):
-    # the active-set steps and the certificate never project: only a start
-    # or crash point whose clipped sum leaves [lo, hi] is projected
+    # the crash and the certificate never project: only a start or a
+    # round's point whose clipped sum leaves [lo, hi] is projected
     calls = []
     project = operators.project_capped_simplex
 
@@ -818,7 +818,7 @@ def _recorded_rot_calls(monkeypatch, seed, trials):
 
 
 def test_solve_rot_objective_and_gap_come_from_the_returned_weights(monkeypatch):
-    # one residual serves the multiplier test, the gap and the objective: on
+    # one residual serves the last gap test and the objective: on
     # phase-sized calls (t <= m), converged and at the cap, both are what the
     # returned w gives, bit for bit
     calls = _recorded_rot_calls(monkeypatch, 1, range(4))
@@ -885,24 +885,16 @@ def test_solve_rot_zero_columns_on_the_support(y):
 
 
 def test_operators_takes_no_eigendecomposition():
-    # solve_rot's certificate, rank bound and crash gate need no L, and a
-    # face with dependent columns takes a ridge step, not an SVD null space
+    # solve_rot's certificate, rank bound and crash gate need no L, and
+    # dependent columns take a proximal term, not an SVD null space
     tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
     calls = {ast.unparse(node.func).rsplit(".", 1)[-1]
              for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not calls & {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
 
 
-def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
-    # found by search: from the cold start, the crash's partitions return to
-    # an earlier one (period 2) well before the cap, so it stops unsettled,
-    # and the kernel goes on from its last point
-    rng = np.random.default_rng(0)
-    t, m, n, k = 4, 5, 5, 2
-    a = rng.standard_normal((m, n))
-    y = rng.standard_normal(m)
-    u = np.zeros(n)
-    u[:t] = rng.standard_normal(t)
+def _recorded_crashes(monkeypatch) -> list:
+    """The list that every later _pdas_crash call appends its result to."""
     crashes = []
     crash = operators._pdas_crash
 
@@ -912,11 +904,26 @@ def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
         return result
 
     monkeypatch.setattr(operators, "_pdas_crash", recording_crash)
+    return crashes
+
+
+def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
+    # found by search: from the cold start, the first round's crash returns
+    # to an earlier partition well before the round's cap of 30, so it stops
+    # unsettled, and the kernel retries with a proximal term
+    rng = np.random.default_rng(0)
+    t, m, n, k = 4, 5, 5, 2
+    a = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    u = np.zeros(n)
+    u[:t] = rng.standard_normal(t)
+    crashes = _recorded_crashes(monkeypatch)
     sol = solve_rot(a, y, u, k)
-    [(_, iterations, settled)] = crashes
+    (_, iterations, settled), *retries = crashes
     assert not settled
-    assert 2 <= iterations < operators.ROT_MAX_ITERATIONS
-    assert sol.iterations > iterations  # the kernel took steps too
+    assert 2 <= iterations < 30
+    assert retries
+    assert sol.iterations == sum(steps for _, steps, _ in crashes)
     _assert_certified(a, y, u, k, sol)
     oracle = _rot_pattern_oracle(a[:, :t] * u[:t], y, max(0, k - (n - t)), k)
     assert sol.objective == pytest.approx(oracle, abs=1e-10)
@@ -924,17 +931,10 @@ def test_solve_rot_ends_certified_where_the_crash_cycles(monkeypatch):
 
 @pytest.mark.parametrize("n, k, t", [(7, 3, 5), (9, 4, 3), (6, 2, 6), (10, 3, 7)])
 def test_solve_rot_settled_crash_takes_no_kernel_step(n, k, t, monkeypatch):
-    # a crash that repeats its partition hands the kernel the minimiser of
-    # that face: the multiplier test passes, and no step follows
-    crashes = []
-    crash = operators._pdas_crash
-
-    def recording_crash(*args):
-        result = crash(*args)
-        crashes.append(result)
-        return result
-
-    monkeypatch.setattr(operators, "_pdas_crash", recording_crash)
+    # B has full column rank (t <= m), so the first round runs the crash on
+    # f itself: if it settles, its point minimises f, the gap test passes,
+    # and no second round follows
+    crashes = _recorded_crashes(monkeypatch)
     rng = np.random.default_rng(80 + 10 * n + t)
     settled = 0
     for _ in range(6):
@@ -949,18 +949,20 @@ def test_solve_rot_settled_crash_takes_no_kernel_step(n, k, t, monkeypatch):
         for start in (None, rng.uniform(-0.5, 1.5, n)):
             crashes.clear()
             sol = solve_rot(a, y, u, k, start)
-            [(_, iterations, crash_settled)] = crashes
             _assert_certified(a, y, u, k, sol)
             assert sol.objective == pytest.approx(oracle, abs=1e-10)
-            if crash_settled:
+            assert sol.iterations == sum(steps for _, steps, _ in crashes)
+            (_, _, first_settled), *later = crashes
+            if first_settled:
                 settled += 1
-                assert sol.iterations == iterations
-    assert settled >= 3  # the crash also stops by cycling or binding all
+                assert not later
+    assert settled >= 3  # the first crash can also cycle
 
 
 def test_solve_rot_releases_a_wrong_face_from_a_settled_crash(monkeypatch):
-    # a crash that settles on the wrong face, w_0 at 0, and returns that
-    # face's exact minimiser: the kernel must release w_0 and step on
+    # a first round that settles on the wrong face, w_0 at 0, and returns
+    # that face's exact minimiser: the gap test fails, and the later rounds
+    # must release w_0
     rng = np.random.default_rng(90)
     m, n, k = 12, 5, 2
     a = rng.standard_normal((m, n)) / np.sqrt(m)
@@ -975,21 +977,76 @@ def test_solve_rot_releases_a_wrong_face_from_a_settled_crash(monkeypatch):
     face_w = np.append(0.0, np.linalg.solve(kkt, np.append(corr[1:], k))[:-1])
     assert np.all(face_w[1:] > 0.0) and np.all(face_w[1:] < 1.0)
     crashes = []
+    crash = operators._pdas_crash
 
-    def wrong_crash(gram, corr, w, bound, upper, k, scale):
-        crashes.append(1)
-        return face_w.copy(), 2, True
+    def wrong_crash(gram, corr, bound, upper, k, scale, cap):
+        crashes.append(cap)
+        if len(crashes) == 1:
+            return face_w.copy(), 2, True
+        return crash(gram, corr, bound, upper, k, scale, cap)
 
     monkeypatch.setattr(operators, "_pdas_crash", wrong_crash)
     sol = solve_rot(a, y, u, k)
-    assert crashes == [1]
-    assert sol.iterations > 2  # the crash's two, then the kernel's steps
+    assert len(crashes) >= 2
+    assert sol.iterations > 2  # the fake round's two, then the later rounds'
     _assert_certified(a, y, u, k, sol)
     assert sol.w[0] > 0.0
     oracle = _rot_pattern_oracle(a, y, k, k)
     assert sol.objective == pytest.approx(oracle, abs=1e-10)
     r = y - a @ face_w
     assert float(r @ r) > oracle + 1e-6  # the wrong face is worse
+
+
+def test_solve_rot_runs_the_crash_where_t_exceeds_m(monkeypatch):
+    # rot's subproblems have t = n = 80 > m = 40, so B^T B is singular: the
+    # crash serves them too, in proximal rounds, on every subproblem
+    crashes = _recorded_crashes(monkeypatch)
+    per_call = []
+    rot = solvers.solve_rot
+
+    def recording_rot(a, y, u, k, start):
+        before = len(crashes)
+        sol = rot(a, y, u, k, start)
+        per_call.append((np.count_nonzero(u), y.size, crashes[before:], sol))
+        return sol
+
+    monkeypatch.setattr(solvers, "solve_rot", recording_rot)
+    exp = ExperimentConfig(m=40, n=80, k_grid=(6,), seed=7)
+    solve(make_trial_problem(exp, 6, 12, "rot", 0), "rot")
+    assert len(per_call) >= 2
+    for t, m, rounds, sol in per_call:
+        assert t > m and rounds
+        assert sol.converged
+        assert sol.iterations == sum(steps for _, steps, _ in rounds)
+
+
+def test_solve_rot_crash_settles_where_its_test_binds_every_variable(
+        monkeypatch):
+    # found by search on the seed-7 golden grid: the second ROT call of
+    # these pgrot solves (t <= m) has a crash whose z-test binds every
+    # variable, cold and from its start.  Freeing the weight nearest its box
+    # lets that crash settle, on the minimiser
+    calls = []
+    rot = solvers.solve_rot
+
+    def recording_rot(a, y, u, k, start):
+        calls.append((a, y, u, k, start))
+        return rot(a, y, u, k, start)
+
+    monkeypatch.setattr(solvers, "solve_rot", recording_rot)
+    crashes = _recorded_crashes(monkeypatch)
+    exp = ExperimentConfig(m=40, n=80, k_grid=(3,), seed=7)
+    for trial in (1, 2):
+        calls.clear()
+        solve(make_trial_problem(exp, 3, 6, "pgrot", trial), "pgrot")
+        a, y, u, k, start = calls[1]
+        assert np.count_nonzero(u) <= y.size
+        for s in (None, start):
+            crashes.clear()
+            sol = solve_rot(a, y, u, k, s)
+            [(_, iterations, settled)] = crashes
+            assert settled and sol.iterations == iterations
+            _assert_certified(a, y, u, k, sol)
 
 
 def _assert_warm_start_matches_cold(a, y, u, k, start, cold):
@@ -1023,39 +1080,24 @@ def test_solve_rot_warm_start_outside_feasible_set(n, k, t, start):
         _assert_warm_start_matches_cold(a, y, u, k, np.array(start), cold)
 
 
-def test_solve_rot_restarted_at_its_minimiser_takes_one_step():
+def test_solve_rot_restarted_at_its_minimiser_takes_no_iteration():
     # the returned sum is k only up to rounding: a start there must keep its
-    # weights at 0 and 1 in the working set, not project them off their bounds.
-    # The crash's first iteration then repeats the start's partition, which
-    # it must see as a repeat: the start and later partitions are like bytes
-    rng = np.random.default_rng(70)
-    for _ in range(50):
-        t = int(rng.integers(6, 13))
-        a = rng.standard_normal((t + 2, 12))
-        y = rng.standard_normal(t + 2)
-        u = np.zeros(12)
-        u[rng.choice(12, size=t, replace=False)] = rng.standard_normal(t)
-        cold = solve_rot(a, y, u, 4)
-        sol = solve_rot(a, y, u, 4, cold.w)
-        assert sol.converged and sol.iterations == 1, (t, sol.iterations)
-        assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
-    # m < t < n: no crash, and o takes its state from the start's sum as a
-    # weight does from its value, so the method's first Newton step lands
-    # where it starts; where at most one variable is free, no step is taken
-    rng = np.random.default_rng(71)
-    steps = []
-    for _ in range(50):
-        t = int(rng.integers(6, 12))
-        a = rng.standard_normal((t - 2, 12))
-        y = rng.standard_normal(t - 2)
-        u = np.zeros(12)
-        u[rng.choice(12, size=t, replace=False)] = rng.standard_normal(t)
-        cold = solve_rot(a, y, u, 4)
-        sol = solve_rot(a, y, u, 4, cold.w)
-        assert sol.converged and sol.iterations <= 1, (t, sol.iterations)
-        assert sol.objective == pytest.approx(cold.objective, abs=1e-10)
-        steps.append(sol.iterations)
-    assert steps.count(1) >= 45
+    # weights at 0 and 1, not project them off their bounds.  Its gap is
+    # then the one the first call stopped at, and no round runs, whether B
+    # has full column rank (t + 2 rows) or not (t - 2 rows)
+    for seed, rows, t_end in ((70, 2, 13), (71, -2, 12)):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            t = int(rng.integers(6, t_end))
+            a = rng.standard_normal((t + rows, 12))
+            y = rng.standard_normal(t + rows)
+            u = np.zeros(12)
+            u[rng.choice(12, size=t, replace=False)] = rng.standard_normal(t)
+            cold = solve_rot(a, y, u, 4)
+            sol = solve_rot(a, y, u, 4, cold.w)
+            assert sol.converged and sol.iterations == 0, (t, sol.iterations)
+            np.testing.assert_array_equal(sol.w, cold.w)
+            assert sol.objective == cold.objective and sol.gap == cold.gap
 
 
 def test_solve_rot_projects_an_out_of_range_start_unclipped(monkeypatch):
@@ -1071,7 +1113,7 @@ def test_solve_rot_projects_an_out_of_range_start_unclipped(monkeypatch):
     monkeypatch.setattr(operators, "project_capped_simplex", recording_project)
     rng = np.random.default_rng(61)
     n, k, t = 7, 3, 5
-    for m in (t + 1, t - 1):  # with the crash, and without it
+    for m in (t + 1, t - 1):  # eps = 0, and a proximal term
         a = rng.standard_normal((m, n)) / np.sqrt(m)
         y = rng.standard_normal(m)
         u = np.zeros(n)
@@ -1095,8 +1137,8 @@ def test_solve_rot_rejects_start_of_wrong_length():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("m", [60, 30])
 def test_solve_rot_rejects_non_finite_start(bad, m):
-    # n = 40 and a dense u: t = 40 <= m = 60 runs the crash, t > m = 30 does
-    # not; both check the start before they use it
+    # n = 40 and a dense u: t = 40 <= m = 60 starts with eps = 0, t > m = 30
+    # with a proximal term; both check the start before they use it
     rng = np.random.default_rng(100 + m)
     a = rng.standard_normal((m, 40))
     y = rng.standard_normal(m)
@@ -1120,7 +1162,7 @@ def _duplicated_columns(rng, m=6):
 
 
 def _tall_duplicated_columns(rng):
-    # t = 9 <= m = 12, but B has rank 7: the primal-dual crash must not run
+    # t = 9 <= m = 12, but B has rank 7: the crash needs a proximal term
     return _duplicated_columns(rng, m=12)
 
 
@@ -1146,8 +1188,8 @@ def test_solve_rot_exactly_singular_gram(make, k):
 
 def test_solve_rot_nearly_dependent_columns():
     # a column 3e-7 from zero and one 3e-7 from a copy count as dependent:
-    # the ridge steps then see a Gram matrix that is nearly, not exactly,
-    # singular, and the solve must still end certified
+    # the proximal rounds then see a Gram matrix that is nearly, not
+    # exactly, singular, and the solve must still end certified
     for seed in range(20):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((6, 10)) / np.sqrt(6)
