@@ -87,6 +87,8 @@ class CellResult:
 
 def gen_gaussian_matrix(m: int, n: int, seed, scaling: str = "inv_sqrt_m") -> np.ndarray:
     """Seeded i.i.d. N(0,1) matrix, optionally scaled by 1/sqrt(m)."""
+    check_integer(m, "m")
+    check_integer(n, "n")
     if scaling not in SCALINGS:
         raise ValueError(f"scaling must be one of {SCALINGS}")
     rng = np.random.default_rng(seed)
@@ -98,6 +100,7 @@ def gen_gaussian_matrix(m: int, n: int, seed, scaling: str = "inv_sqrt_m") -> np
 
 def gen_sparse_vector(n: int, k: int, seed) -> np.ndarray:
     """Exactly k nonzeros on a uniform random support, N(0,1) values."""
+    check_integer(n, "n")
     check_integer(k, "k")
     if not 0 <= k <= n:
         raise ValueError(f"k={k} must be in [0, {n}]")

@@ -1,11 +1,13 @@
 """Thresholding operators and both optimal k-thresholding subproblems.
 
 Contains the hard-thresholding operator, Euclidean projection onto the
-capped simplex {w : sum w = k, 0 <= w <= 1}, and the two subproblems of a
-PGOT / PGROT / PGROTP step at u = x + lam H_q(gradient), both solved on
-supp(u): the exact binary one (``optimal_threshold_on_support``) and its
-convex relaxation (``solve_rot``), a boxed least-squares QP with sum k
-over the weights on supp(u) and their total off it.  One method solves the
+capped simplex {w : sum w = k, 0 <= w <= 1} (one bisection over its
+breakpoints, run in floating point and, where that result's sum misses k,
+again in exact arithmetic), and the two subproblems of a PGOT / PGROT /
+PGROTP step at u = x + lam H_q(gradient), both solved on supp(u): the
+exact binary one (``optimal_threshold_on_support``) and its convex
+relaxation (``solve_rot``), a boxed least-squares QP with sum k over the
+weights on supp(u) and their total off it.  One method solves the
 relaxation, from the uniform weights k / n or from given ones: a
 primal-dual active-set crash in proximal rounds, which serves t <= m and
 t > m alike.  The certificate is the Frank-Wolfe gap of each round's point,
@@ -178,13 +180,12 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
     """Euclidean projection onto {w : sum(w) = k, 0 <= w <= 1}.
 
     The projection is clamp(v - theta, 0, 1) for the scalar theta solving
-    sum(clamp(v - theta, 0, 1)) = k (Wang & Lu, arXiv:1503.01002).  The sum
-    is piecewise linear and nonincreasing in theta, with breakpoints v - 1
-    and v; it is evaluated at all 2n sorted breakpoints in one vectorised
-    pass, and theta is interpolated on the segment that brackets k.  Those
-    sums cancel where entries of very different size meet (1e17 beside
-    0.3): a result whose sum misses k by more than rounding is computed again
-    exactly (``_project_exact``).
+    sum(clamp(v - theta, 0, 1)) = k (Wang & Lu, arXiv:1503.01002), found by
+    ``_clamp_search`` in floating point.  Where breakpoints coincide in
+    floating point ([1e17, 1e17, 0.5] with k = 1 has theta = 1e17 - 0.5,
+    which no float holds), a result whose sum misses k by more than rounding
+    is computed again by the same search in exact arithmetic
+    (``_project_exact``).
     """
     v = as_vector(v, name="v")
     n = v.size
@@ -193,56 +194,53 @@ def project_capped_simplex(v, k: int) -> np.ndarray:
         return np.zeros(n)
     if k == n:
         return np.ones(n)
-
-    vs = np.sort(v)
-    tail = np.concatenate(([0.0], np.cumsum(vs[::-1])))[::-1]  # sum of vs[i:]
-    bps = np.sort(np.concatenate((vs - 1.0, vs)))
-    # clamp(v - theta, 0, 1) = max(v - theta, 0) - max(v - theta - 1, 0), and
-    # sum(max(v - theta, 0)) = tail[i] - (n - i) theta with i = #{v < theta}
-    thetas = np.concatenate((bps, bps + 1.0))
-    idx = np.searchsorted(vs, thetas)
-    positive = tail[idx] - (n - idx) * thetas
-    totals = positive[: 2 * n] - positive[2 * n:]
-    # totals falls from n to 0 and 0 < k < n, so the last j with
-    # totals[j] >= k has totals[j + 1] < k and bps[j + 1] > bps[j], unless
-    # the sums cancelled
-    hits = np.flatnonzero(totals >= k)
-    if hits.size and hits[-1] < 2 * n - 1:
-        j = hits[-1]
-        theta = bps[j]
-        if totals[j] > k:
-            theta += ((totals[j] - k) * (bps[j + 1] - bps[j])
-                      / (totals[j] - totals[j + 1]))
-        w = (v - theta).clip(0.0, 1.0)
-        # every entry of w moves the same way with theta, so a sum within
-        # rounding of k puts w within rounding of the projection
-        if abs(w.sum() - k) <= 64 * n * np.finfo(float).eps * k:
-            return w
+    w = _clamp_search(v, k)
+    # every entry of w moves the same way with theta, so a sum within
+    # rounding of k puts w within rounding of the projection
+    if abs(w.sum() - k) <= 64 * n * np.finfo(float).eps * k:
+        return w
     return _project_exact(v, k)
 
 
-def _project_exact(v: np.ndarray, k: int) -> np.ndarray:
-    """project_capped_simplex for 0 < k < n in exact rational arithmetic,
-    rounded once: the search for theta bisects the sorted breakpoints."""
-    from fractions import Fraction  # only inputs whose sums cancel get here
+def _clamp_search(v: np.ndarray, k: int) -> np.ndarray:
+    """clamp(v - theta, 0, 1) with sum k, for 0 < k < n, in the arithmetic
+    of v's entries (floats, or ``Fraction`` objects).
 
-    vs = [Fraction(x) for x in v.tolist()]
-    bps = sorted(vs + [x - 1 for x in vs])
+    The sum is piecewise linear and nonincreasing in theta, with breakpoints
+    v - 1 and v.  The search bisects the sorted breakpoints, summing the
+    clamped entries directly at each one, and interpolates theta on the
+    segment that brackets k.
+    """
+    bps = np.sort(np.concatenate((v - 1, v)))
 
     def total(theta):
-        return sum(min(max(x - theta, 0), 1) for x in vs)
+        return (v - theta).clip(0, 1).sum()
 
-    # total(bps[0]) = n > k > 0 = total(bps[-1])
-    below, above = 0, len(bps) - 1  # total >= k at below, < k at above
+    # total(bps[0]) = n > k > 0 = total(bps[-1]) in exact arithmetic
+    below, above = 0, bps.size - 1  # total >= k at below, < k at above
     while above - below > 1:
         mid = (below + above) // 2
         if total(bps[mid]) >= k:
             below = mid
         else:
             above = mid
-    high, low = total(bps[below]), total(bps[above])
-    theta = bps[below] + (high - k) * (bps[above] - bps[below]) / (high - low)
-    return np.array([float(min(max(x - theta, 0), 1)) for x in vs])
+    theta, high = bps[below], total(bps[below])
+    # high >= k > low, unless rounding broke the bracket at bps[0] (where
+    # high may equal low): theta = bps[0] then, and the caller's sum test
+    # rejects it
+    if high > k:
+        low = total(bps[above])
+        theta += (high - k) * (bps[above] - theta) / (high - low)
+    return (v - theta).clip(0, 1)
+
+
+def _project_exact(v: np.ndarray, k: int) -> np.ndarray:
+    """project_capped_simplex for 0 < k < n: ``_clamp_search`` in exact
+    rational arithmetic, rounded once."""
+    from fractions import Fraction  # only results that miss k get here
+
+    exact = np.array([Fraction(x) for x in v.tolist()], dtype=object)
+    return _clamp_search(exact, k).astype(float)
 
 
 def _restrict(a, y, u, k: int):

@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from . import operators
-from .model import check_integer
+from .model import as_matrix, as_vector, check_integer
 from .solvers import pgot_step
 
 _GOLDEN = (sqrt(5.0) + 1.0) / 2.0
@@ -47,7 +47,10 @@ class ContractionConstants:
 
 
 def ceil_ratio(q: int, k: int) -> int:
-    """Smallest integer >= q / k."""
+    """Smallest integer >= q / k, for integers q, k >= 1 (anything else
+    raises ValueError)."""
+    check_integer(q, "q")
+    check_integer(k, "k")
     if q < 1 or k < 1:
         raise ValueError("q and k must be positive")
     return -(-q // k)
@@ -152,10 +155,11 @@ def brute_force_ric(a, s: int) -> float:
 
     delta_s = max over |S| = s of || A_S^T A_S - I ||_2, with every S from
     ``operators.subsets`` and the Gram sub-blocks' eigenvalues taken in
-    batches of at most operators.CHUNK_FLOATS floats.  Raises
-    ExhaustiveLimitError when C(n, s) > EXHAUSTIVE_LIMIT.
+    batches of at most operators.CHUNK_FLOATS floats.  ``a`` must be a
+    finite 2-d matrix (``model.as_matrix``).  Raises ExhaustiveLimitError
+    when C(n, s) > EXHAUSTIVE_LIMIT.
     """
-    a = np.asarray(a, dtype=float)
+    a = as_matrix(a)
     n = a.shape[1]
     check_integer(s, "s")
     if not 1 <= s <= n:
@@ -200,11 +204,13 @@ def verify_one_step_bound(a, x_star, x_p, q: int, k: int):
 
     Runs one exact PGOT iteration from x_p with y = A x*, evaluates both
     sides of ||x^{p+1} - x*|| <= rho ||x^p - x*|| using brute-force RICs,
-    and returns (lhs, rhs, holds).
+    and returns (lhs, rhs, holds).  A non-finite or wrongly sized ``a``,
+    ``x_star`` or ``x_p`` raises ValueError, not a failed certificate.
     """
-    a = np.asarray(a, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    x_p = np.asarray(x_p, dtype=float)
+    a = as_matrix(a)
+    n = a.shape[1]
+    x_star = as_vector(x_star, n, "x_star")
+    x_p = as_vector(x_p, n, "x_p")
     y = a @ x_star
     ric = RicTriple(brute_force_ric(a, k), brute_force_ric(a, 2 * k),
                     brute_force_ric(a, 3 * k))

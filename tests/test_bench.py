@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pgthresh import bench, brute_force_ric
+from pgthresh import (RicTriple, bench, brute_force_ric, ceil_ratio,
+                      contraction_constants, pgot_root_bound)
 from pgthresh.bench import (CellResult, ExperimentConfig, gen_gaussian_matrix,
                             gen_sparse_vector, iteration_count_experiment,
                             objective_trace_experiment, resolve_q,
@@ -112,10 +113,21 @@ def test_experiment_config_rejects_non_integers_and_a_negative_seed(
 @pytest.mark.parametrize("call, name", [
     (lambda value: brute_force_ric(np.eye(4), value), "s"),
     (lambda value: gen_sparse_vector(10, value, 1), "k"),
-], ids=["brute_force_ric", "gen_sparse_vector"])
+    (lambda value: gen_sparse_vector(value, 1, 1), "n"),
+    (lambda value: gen_gaussian_matrix(value, 4, 1), "m"),
+    (lambda value: gen_gaussian_matrix(4, value, 1), "n"),
+    (lambda value: ceil_ratio(value, 1), "q"),
+    (lambda value: ceil_ratio(4, value), "k"),
+    (lambda value: pgot_root_bound(value, 1), "q"),
+    (lambda value: contraction_constants(RicTriple(0.1, 0.1, 0.1), value, 1,
+                                         "pgot"), "q"),
+], ids=["brute_force_ric", "gen_sparse_vector", "gen_sparse_vector-n",
+        "gen_gaussian_matrix-m", "gen_gaussian_matrix-n", "ceil_ratio-q",
+        "ceil_ratio-k", "pgot_root_bound", "contraction_constants"])
 @pytest.mark.parametrize("value", [2.0, True])
 def test_public_entry_points_reject_a_non_integer_size(call, name, value):
-    # an integral float or a bool would fail later with a bare TypeError
+    # an integral float or a bool would fail later with a bare TypeError,
+    # or pass for an integer: pgot_root_bound(2.5, 1) gave the bound for q = 3
     with pytest.raises(ValueError, match=f"^{name}={value!r} must be an integer"):
         call(value)
 

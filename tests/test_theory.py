@@ -190,6 +190,38 @@ def test_brute_force_ric_limit_guard():
         brute_force_ric(np.ones((4, 30)), 15)
 
 
+def _bad(array, index, value):
+    array = np.array(array, dtype=float)
+    array[index] = value
+    return array
+
+
+_QMAT = np.linalg.qr(np.random.default_rng(12).standard_normal((8, 6)))[0]
+_X = np.eye(6)[2]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: brute_force_ric(_bad(_QMAT, (0, 1), np.nan), 2),
+     "matrix entries must be finite"),
+    (lambda: brute_force_ric(_bad(_QMAT, (3, 0), np.inf), 2),
+     "matrix entries must be finite"),
+    (lambda: brute_force_ric(np.ones(6), 1), "expected a 2-d matrix"),
+    (lambda: verify_one_step_bound(_QMAT, _X, _bad(_X, 4, np.nan), 2, 1),
+     "x_p entries must be finite"),
+    (lambda: verify_one_step_bound(_QMAT, _bad(_X, 0, np.inf), _X, 2, 1),
+     "x_star entries must be finite"),
+    (lambda: verify_one_step_bound(_QMAT, _X, _X[:5], 2, 1),
+     "x_p has length 5, expected 6"),
+], ids=["ric-nan", "ric-inf", "ric-1d", "verify-nan-x_p", "verify-inf-x_star",
+        "verify-short-x_p"])
+def test_theory_rejects_a_bad_array_where_it_enters(call, message):
+    # an input error is raised where the array enters: left to the
+    # arithmetic, max(0.0, nan) keeps delta = 0.0 and a NaN in x_p fails
+    # the certificate
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
 def test_table1_structure():
     table = table1()
     assert len(table.entries) == 9
