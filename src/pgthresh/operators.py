@@ -10,9 +10,10 @@ relaxation (``solve_rot``), a boxed least-squares QP with sum k over the
 weights on supp(u) and their total off it.  One method solves the
 relaxation, from the uniform weights k / n or from given ones: a
 primal-dual active-set crash in proximal rounds, which serves t <= m and
-t > m alike.  The certificate is the Frank-Wolfe gap of each round's point,
-an upper bound on its objective gap from one sort of the gradient; the
-kernel takes no eigendecomposition.  Only the starts and the rounds' points
+t > m alike, with no proximal term in the first round where t <= m.  The
+certificate is the Frank-Wolfe gap of each round's point, an upper bound on
+its objective gap from one sort of the gradient; the crash's face solves
+are the kernel's only factorizations.  Only the starts and the rounds' points
 are projected onto the feasible set; the crash and the certificate never
 are.  ``subset_levels`` is the one exhaustive enumeration, level by level
 under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
@@ -325,8 +326,8 @@ def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
     """(w, iterations, settled): the primal-dual active-set method of
     Hintermueller, Ito & Kunisch (SIAM J. Optim. 13(3), 2002) on
     min w^T gram w - 2 corr^T w over v = (w, o) in the box 0 <= v <= upper
-    with sum(v) = k, for gram positive definite: o, the last variable, has
-    no term in the objective.  solve_rot runs it in proximal rounds.
+    with sum(v) = k: o, the last variable, has no term in the objective.
+    solve_rot runs it in proximal rounds.
 
     A partition is an int8 array over v: -1 at 0, +1 at the upper end, 0
     free.  The first is ``bound``, o's state included, which the crash does
@@ -341,8 +342,10 @@ def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
     one only its sign counts.  Where that test binds every variable, the
     weight whose z lies nearest its box is freed, so every partition keeps
     a free variable to take up the sum.  The crash stops when the new
-    partition repeats the last (settled) or an earlier one (cycling), or
-    after ``cap`` >= 1 iterations; w is the last point.  If it settled, w
+    partition repeats the last (settled, if w is finite) or an earlier one
+    (cycling), at a face whose matrix LU finds singular (gram need only be
+    semidefinite; unsettled), or after ``cap`` >= 1 iterations; w is the
+    last point.  If it settled, w
     minimises the objective on the face of that partition, with every
     bound's multiplier of the sign the partition tested, and lies in the box
     up to rounding unless the last test freed a weight; otherwise it may lie
@@ -364,20 +367,24 @@ def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
         gram_f = gram[free]
         rhs_f = rhs[:free.size]
         rhs_f[:, 0] = corr[free] - gram_f @ w
-        if bound[t] == 0:  # o free: its gradient is 0, so sigma is too
-            sigma = 0.0
-            if free.size:
-                w[free] = np.linalg.solve(gram_f[:, free], rhs_f[:, 0])
-            o = k - w.sum()
-        else:
-            # G_FF w_F = rhs - sigma / 2 with sum(w_F) = k - o - |U|: the
-            # bordered system, solved through its Schur complement; the two
-            # column sums stay apart (one sum over axis 0 rounds differently)
-            o = upper[t] if bound[t] > 0 else 0.0
-            sol = np.linalg.solve(gram_f[:, free], rhs_f)
-            half = (sol[:, 0].sum() - (k - o - at_one.sum())) / sol[:, 1].sum()
-            w[free] = sol[:, 0] - half * sol[:, 1]
-            sigma = 2.0 * half
+        try:
+            if bound[t] == 0:  # o free: its gradient is 0, so sigma is too
+                sigma = 0.0
+                if free.size:
+                    w[free] = np.linalg.solve(gram_f[:, free], rhs_f[:, 0])
+                o = k - w.sum()
+            else:
+                # G_FF w_F = rhs - sigma / 2 with sum(w_F) = k - o - |U|,
+                # through the Schur complement; the two column sums stay
+                # apart (one sum over axis 0 rounds differently)
+                o = upper[t] if bound[t] > 0 else 0.0
+                sol = np.linalg.solve(gram_f[:, free], rhs_f)
+                half = ((sol[:, 0].sum() - (k - o - np.count_nonzero(at_one)))
+                        / sol[:, 1].sum())
+                w[free] = sol[:, 0] - half * sol[:, 1]
+                sigma = 2.0 * half
+        except np.linalg.LinAlgError:  # a singular face: dependent columns
+            return w, iterations, False
         z[:t] = w - (2.0 * (gram @ w - corr) + sigma) / scale
         z[t] = o - sigma / scale
         bound = (z >= upper).astype(np.int8) - (z <= 0.0)
@@ -387,7 +394,7 @@ def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
             bound[np.argmin(np.maximum(-z[:t], z[:t] - 1.0))] = 0
         last, key = key, bound.tobytes()
         if key in seen:  # settled, or cycling
-            return w, iterations, key == last
+            return w, iterations, key == last and bool(np.isfinite(w).all())
         seen.add(key)
     return w, cap, False
 
@@ -438,9 +445,9 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     sign-test scale 2 (c + eps), c = max_j ||B e_j||^2.  A crash that settles
     gives the next point; one that does not settle within 30 iterations is
     retried from w_j with eps ten times larger, at least 1e-6 c.  eps starts
-    at 0 where B has full column rank by the kernel's rank test (t <= m and
-    every Cholesky pivot of G above rank_tol = 1e-6 sqrt(c)), and at 1e-6 c
-    otherwise; after a crash that settles it becomes max(eps / 10, 1e-8 c),
+    at 0 where t <= m, and where B has dependent columns a singular face
+    ends that crash unsettled; where t > m, G is singular and eps starts at
+    1e-6 c.  After a crash that settles eps becomes max(eps / 10, 1e-8 c),
     so a point that fails the gap test after a crash on f itself gets
     proximal rounds, not the same crash again.  So where the QP is strictly
     convex (B of full column rank, generically so for t <= q + k < m), the
@@ -471,7 +478,7 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
                  converged: bool) -> RotSolution:
         """The RotSolution of weights w_s on S, whose residual is r."""
         # a sum held at lo or hi is exact only to rounding: clip the share
-        w = np.full(n, np.clip((k - w_s.sum()) / max(n - t, 1), 0.0, 1.0))
+        w = np.full(n, min(max((k - w_s.sum()) / max(n - t, 1), 0.0), 1.0))
         w[supp] = w_s
         return RotSolution(w, float(r @ r), steps, gap, converged)
 
@@ -486,19 +493,11 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         return solution(w, y - b_sub @ w, 0, 0.0, True)
     c = col_max**2
     # v = (w_S, o): o = k - sum(w_S) is the weight off S and moves no residual
-    upper = np.append(np.ones(t), n - t)
-    # B of full column rank by the rank test, rank_tol = 1e-6 col_max (a
-    # free column closer than that to the span of those before it counts as
-    # dependent; the Cholesky pivots of G resolve that distance only down to
-    # about sqrt(eps) ||B||_2): f is strictly convex, and the crash needs no
-    # proximal term
-    eps = 1e-6 * c
-    if t <= y.size:
-        try:
-            if np.linalg.cholesky(gram).diagonal().min() > 1e-6 * col_max:
-                eps = 0.0
-        except np.linalg.LinAlgError:
-            pass
+    upper = np.ones(t + 1)
+    upper[t] = n - t
+    # f is strictly convex where B has full column rank, as it generically
+    # has for t <= m; otherwise a singular face sends the crash to a retry
+    eps = 0.0 if t <= y.size else 1e-6 * c
     ulps = t * np.finfo(float).eps
 
     def working_set(w: np.ndarray):

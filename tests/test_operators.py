@@ -910,23 +910,26 @@ def test_solve_rot_zero_columns_on_the_support(y):
 
 
 def test_operators_takes_no_eigendecomposition():
-    # solve_rot's certificate, rank bound and crash gate need no L, and
-    # dependent columns take a proximal term, not an SVD null space
+    # solve_rot's certificate needs no L, dependent columns take a proximal
+    # term, not an SVD null space, and no Cholesky test decides the first
+    # round's: the crash's face solves are the kernel's only factorizations
     tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
     calls = {ast.unparse(node.func).rsplit(".", 1)[-1]
              for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert not calls & {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
+    assert not calls & {"eig", "eigh", "eigvals", "eigvalsh", "svd",
+                        "cholesky"}
 
 
 def _recorded_crashes(monkeypatch) -> list:
-    """The list that every later _pdas_crash call appends its result to."""
+    """The list that every later _pdas_crash call appends its (sign-test
+    scale, iterations, settled) to."""
     crashes = []
     crash = operators._pdas_crash
 
-    def recording_crash(*args):
-        result = crash(*args)
-        crashes.append(result)
-        return result
+    def recording_crash(gram, corr, bound, upper, k, scale, cap):
+        w, iterations, settled = crash(gram, corr, bound, upper, k, scale, cap)
+        crashes.append((scale, iterations, settled))
+        return w, iterations, settled
 
     monkeypatch.setattr(operators, "_pdas_crash", recording_crash)
     return crashes
@@ -982,6 +985,38 @@ def test_solve_rot_settled_crash_takes_no_kernel_step(n, k, t, monkeypatch):
                 settled += 1
                 assert not later
     assert settled >= 3  # the first crash can also cycle
+
+
+def _largest_squared_column_norm(a, u) -> float:
+    """c = max_j ||B e_j||^2 for B = A diag(u)."""
+    return float(((a * u) ** 2).sum(axis=0).max())
+
+
+def test_solve_rot_phase_calls_run_one_crash_on_f_itself(monkeypatch):
+    # the phase-pgrotp path: t <= q + k = 60 < m = 100, and every call runs
+    # one crash, on f itself (eps = 0, so its sign-test scale is 2c), which
+    # settles on the minimiser.  A change that adds proximal rounds or a
+    # second crash to these calls fails here
+    crashes = _recorded_crashes(monkeypatch)
+    per_call = []
+    rot = solvers.solve_rot
+
+    def recording_rot(a, y, u, k, start):
+        crashes.clear()
+        sol = rot(a, y, u, k, start)
+        per_call.append((_largest_squared_column_norm(a, u), list(crashes), sol))
+        return sol
+
+    monkeypatch.setattr(solvers, "solve_rot", recording_rot)
+    exp = ExperimentConfig(m=100, n=200, k_grid=(20,), seed=1)
+    for trial in range(3):
+        solve(make_trial_problem(exp, 20, 40, "pgrotp", trial), "pgrotp")
+    assert len(per_call) >= 9
+    for c, calls, sol in per_call:
+        [(scale, iterations, settled)] = calls
+        # eps >= 1e-8 c would move the scale by at least 1e-8 relative
+        assert scale == pytest.approx(2.0 * c, rel=1e-12)
+        assert settled and sol.converged and sol.iterations == iterations
 
 
 def test_solve_rot_releases_a_wrong_face_from_a_settled_crash(monkeypatch):
@@ -1187,7 +1222,8 @@ def _duplicated_columns(rng, m=6):
 
 
 def _tall_duplicated_columns(rng):
-    # t = 9 <= m = 12, but B has rank 7: the crash needs a proximal term
+    # t = 9 <= m = 12, but B has rank 7: the first crash runs on f itself,
+    # and a singular face sends the kernel to a proximal retry
     return _duplicated_columns(rng, m=12)
 
 
@@ -1211,10 +1247,59 @@ def test_solve_rot_exactly_singular_gram(make, k):
         assert sol.objective <= float(np.linalg.norm(y - a @ x) ** 2) + 1e-6
 
 
+def test_crash_ends_unsettled_at_a_singular_face_or_a_non_finite_point():
+    # every variable free, so the first face is all of gram.  One LU finds
+    # exactly singular ends the crash at that iteration, unsettled; one it
+    # solves to infinities (a subnormal gram) repeats its partition, but a
+    # non-finite point never counts as settled
+    bound = np.zeros(3, dtype=np.int8)
+    upper = np.array([1.0, 1.0, 1.0])
+    _, iterations, settled = operators._pdas_crash(
+        np.ones((2, 2)), np.ones(2), bound, upper, 1, 2.0, 30)
+    assert (iterations, settled) == (1, False)
+    with np.errstate(all="ignore"):
+        w, iterations, settled = operators._pdas_crash(
+            np.full((2, 2), 1e-320), np.ones(2), bound, upper, 1, 2.0, 30)
+    assert not np.isfinite(w).all()
+    assert (iterations, settled) == (1, False)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_solve_rot_retries_a_singular_first_crash_with_a_proximal_term(
+        k, monkeypatch):
+    # t = 9 <= m = 12, so the first crash runs on f itself (eps = 0, scale
+    # 2c), though B has rank 7.  From the uniform start every weight is free,
+    # so its first face is all of B^T B: LU raises where the duplicated
+    # column leaves an exact zero pivot, or, where rounding hides it or the
+    # scaled duplicate (column 5 = -2 column 3) leaves a tiny one, returns a
+    # garbage face.  A crash that does not settle is retried with eps =
+    # 1e-6 c, and the solve still ends certified, with no RuntimeWarning
+    crashes = _recorded_crashes(monkeypatch)
+    rng = np.random.default_rng(41 + k)
+    unsettled = 0
+    for _ in range(8):
+        a, u = _tall_duplicated_columns(rng)
+        y = rng.standard_normal(a.shape[0])
+        crashes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_rot(a, y, u, k)
+        _assert_certified(a, y, u, k, sol)
+        assert sol.iterations == sum(steps for _, steps, _ in crashes)
+        c = _largest_squared_column_norm(a, u)
+        (scale, _, settled), *later = crashes
+        assert scale == pytest.approx(2.0 * c, rel=1e-12)
+        if not settled:
+            unsettled += 1
+            assert later[0][0] == pytest.approx(2.0 * (c + 1e-6 * c),
+                                                rel=1e-12)
+    assert unsettled >= 4
+
+
 def test_solve_rot_nearly_dependent_columns():
-    # a column 3e-7 from zero and one 3e-7 from a copy count as dependent:
-    # the proximal rounds then see a Gram matrix that is nearly, not
-    # exactly, singular, and the solve must still end certified
+    # t = 10 > m = 6, so every round is proximal; a column 3e-7 from zero
+    # and one 3e-7 from a copy leave its matrix nearly, not exactly,
+    # singular, and the solve must still end certified
     for seed in range(20):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((6, 10)) / np.sqrt(6)
