@@ -21,7 +21,7 @@ def as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -39,7 +39,7 @@ def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
     if length is not None and v.size != length:
         raise ValueError(f"{name} has length {v.size}, expected {length}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} entries must be finite")
     return v
 

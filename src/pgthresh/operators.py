@@ -8,15 +8,16 @@ PGROTP step at u = x + lam H_q(gradient), both solved on supp(u): the
 exact binary one (``optimal_threshold_on_support``) and its convex
 relaxation (``solve_rot``), a boxed least-squares QP with sum k over the
 weights on supp(u) and their total off it.  One method solves the
-relaxation, from the uniform weights k / n or from given ones: a
-primal-dual active-set crash in proximal rounds, which serves t <= m and
-t > m alike, with no proximal term in the first round where t <= m.  The
-certificate is the Frank-Wolfe gap of each round's point, an upper bound on
-its objective gap from one sort of the gradient; the crash's face solves
-are the kernel's only factorizations.  Only the starts and the rounds' points
-are projected onto the feasible set; the crash and the certificate never
-are.  ``subset_levels`` is the one exhaustive enumeration, level by level
-under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
+relaxation, from the uniform weights k / n or from given ones: a primal-dual
+active-set crash in proximal rounds, which serves t <= m and t > m alike,
+with no proximal term in the first round where t <= m.  One rule,
+``_partition``, binds or frees each variable, at a start and at each crash
+iteration alike.  The certificate is the Frank-Wolfe gap of each round's
+point, an upper bound on its objective gap from one sort of the gradient;
+the crash's face solves are the kernel's only factorizations.  Only the
+starts and the rounds' points are projected; the crash and the certificate
+never are.  ``subset_levels`` is the one exhaustive enumeration, level by
+level under ``EXHAUSTIVE_LIMIT``, of the exact subproblem and of
 ``theory.brute_force_ric``: each j-subset is a (j - 1)-subset, its parent,
 with one larger index appended.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -153,9 +154,11 @@ def hard_threshold(v, k: int) -> np.ndarray:
     every number.  ``np.partition`` finds the k-th largest magnitude in
     linear time; every entry above it is kept, and so are the lowest-index
     entries equal to it, as many as k allows.  The result is the one a
-    stable sort on -|v| gives, bit for bit.
+    stable sort on -|v| gives, bit for bit.  v must be 1-d.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"v must be 1-d, got shape {v.shape}")
     _check_k(k, v.size)
     if k == 0:
         return np.zeros_like(v)
@@ -173,8 +176,7 @@ def hard_threshold(v, k: int) -> np.ndarray:
 
 def top_k_support(v, k: int) -> np.ndarray:
     """Support of hard_threshold(v, k): sorted indices, zeros never included."""
-    kept = hard_threshold(v, k)
-    return np.flatnonzero(kept)
+    return np.flatnonzero(hard_threshold(v, k))
 
 
 def project_capped_simplex(v, k: int) -> np.ndarray:
@@ -245,17 +247,24 @@ def _project_exact(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _restrict(a, y, u, k: int):
-    """(y, u, S, lo, hi, B_S): ||y - A (u * w)||^2 = ||y - B_S w_S||^2 with
-    S = supp(u), t = |S|, B_S = A[:, S] diag(u_S), and a w summing to k puts
-    between lo = max(0, k - (n - t)) and hi = min(k, t) of it on S."""
+    """(y, u, S, lo, hi, B_S, B_S^T y): ||y - A (u * w)||^2 = ||y - B_S w_S||^2
+    with S = supp(u), t = |S|, B_S = A[:, S] diag(u_S), and a w summing to k
+    puts between lo = max(0, k - (n - t)) and hi = min(k, t) of it on S.
+    Raises ValueError for a NaN or inf in y or u, or in A[:, S], which then
+    reaches B_S^T y: A itself is never scanned."""
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     n = u.size
     _check_k(k, n)
+    if not isfinite(y.dot(y) + u.dot(u)):
+        raise ValueError("y and u entries must be finite")
     supp = np.flatnonzero(u)
     t = supp.size
     b = np.asarray(a, dtype=float)[:, supp] * u[supp]
-    return y, u, supp, max(0, k - (n - t)), min(k, t), b
+    corr = b.T @ y
+    if not isfinite(corr.dot(corr)):
+        raise ValueError("the columns of a on supp(u) must be finite")
+    return y, u, supp, max(0, k - (n - t)), min(k, t), b, corr
 
 
 def optimal_threshold_on_support(a, y, u, k: int):
@@ -278,17 +287,18 @@ def optimal_threshold_on_support(a, y, u, k: int):
     ||y' + B 1_T||^2 with y' = y - B 1.  The objectives are compared as this
     Gram expansion rounds them, not as the residual ||y - B 1_S||^2 would.
     """
-    y, u, supp, lo, hi, b = _restrict(a, y, u, k)
+    y, u, supp, lo, hi, b, corr = _restrict(a, y, u, k)
     n, t = u.size, supp.size
     flip = lo + hi > t
     if flip:  # the complements, of sizes t - hi .. t - lo
         y = y - b.sum(axis=1)
+        corr = b.T @ y
         sizes = range(t - hi, t - lo + 1)
     else:
         sizes = range(lo, hi + 1)
     levels = subset_levels(t, sizes)
     gram = b.T @ b
-    lin = gram.diagonal() + (2.0 if flip else -2.0) * (b.T @ y)
+    lin = gram.diagonal() + (2.0 if flip else -2.0) * corr
     flat = gram.ravel()
     obj, cross = np.array([y @ y]), np.zeros(t)
     best_obj, best = np.inf, (0, 0)
@@ -322,6 +332,19 @@ def optimal_threshold_on_support(a, y, u, k: int):
     return w, u * w
 
 
+def _partition(v, low, high) -> np.ndarray:
+    """The int8 partition of v = (w, o): -1 (bound at 0) where v <= low, +1
+    (bound at its upper end) where v >= high, 0 (free) elsewhere.  o stays
+    at 0 where high[-1] <= 0, as it does when t = n.  Where every variable is
+    bound, the weight nearest its box [0, 1] is freed to take up the sum."""
+    bound = (v >= high).astype(np.int8) - (v <= low)
+    if high[-1] <= 0.0:
+        bound[-1] = -1
+    if bound.all():
+        bound[np.argmin(np.maximum(low - v, v - high)[:-1])] = 0
+    return bound
+
+
 def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
     """(w, iterations, settled): the primal-dual active-set method of
     Hintermueller, Ito & Kunisch (SIAM J. Optim. 13(3), 2002) on
@@ -329,23 +352,18 @@ def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
     with sum(v) = k: o, the last variable, has no term in the objective.
     solve_rot runs it in proximal rounds.
 
-    A partition is an int8 array over v: -1 at 0, +1 at the upper end, 0
-    free.  The first is ``bound``, o's state included, which the crash does
-    not modify; it must be int8 like the later ones, which are compared with
-    it as bytes.  Each iteration minimises the objective with the bound
-    variables fixed and sum(v) = k, which gives the free weights and the
-    multiplier sigma of the sum (the two right-hand sides of that solve
-    share one t x 2 array for the whole crash), then puts every variable at
-    0, at its upper end or free by where z = v - (grad + sigma) / scale
-    falls against [0, upper].  Any scale > 0 gives the same partition up to
-    rounding: grad + sigma vanishes on the free variables, and on a bound
-    one only its sign counts.  Where that test binds every variable, the
-    weight whose z lies nearest its box is freed, so every partition keeps
-    a free variable to take up the sum.  The crash stops when the new
-    partition repeats the last (settled, if w is finite) or an earlier one
-    (cycling), at a face whose matrix LU finds singular (gram need only be
-    semidefinite; unsettled), or after ``cap`` >= 1 iterations; w is the
-    last point.  If it settled, w
+    The first partition (see ``_partition``) is ``bound``, o's state
+    included, which the crash does not modify; it must be int8 like the
+    later ones, which are compared with it as bytes.  Each iteration
+    minimises the objective with the bound variables fixed and sum(v) = k,
+    which gives the free weights and the multiplier sigma of the sum, then
+    takes the partition of z = v - (grad + sigma) / scale against
+    [0, upper].  Any scale > 0 gives the same partition up to rounding:
+    grad + sigma vanishes on the free variables, and on a bound one only its
+    sign counts.  The crash stops when the new partition repeats the last
+    (settled, if w is finite) or an earlier one (cycling), at a face whose
+    matrix LU finds singular (gram need only be semidefinite; unsettled), or
+    after ``cap`` >= 1 iterations; w is the last point.  If it settled, w
     minimises the objective on the face of that partition, with every
     bound's multiplier of the sign the partition tested, and lies in the box
     up to rounding unless the last test freed a weight; otherwise it may lie
@@ -357,12 +375,12 @@ def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
     key = bound.tobytes()
     seen = {key}
     z = np.empty(t + 1)
-    # the first |F| rows hold an iteration's two right-hand sides: column 0
-    # the reduced correlation, column 1 the ones of the bordered system
+    # the first |F| rows hold an iteration's two right-hand sides, for the
+    # whole crash: the reduced correlation, and the ones of the bordered system
     rhs = np.ones((t, 2))
     for iterations in range(1, cap + 1):
         at_one = bound[:t] > 0
-        free = np.flatnonzero(bound[:t] == 0)
+        free = (bound[:t] == 0).nonzero()[0]
         w = at_one.astype(float)
         gram_f = gram[free]
         rhs_f = rhs[:free.size]
@@ -387,11 +405,7 @@ def _pdas_crash(gram, corr, bound, upper, k: int, scale: float, cap: int):
             return w, iterations, False
         z[:t] = w - (2.0 * (gram @ w - corr) + sigma) / scale
         z[t] = o - sigma / scale
-        bound = (z >= upper).astype(np.int8) - (z <= 0.0)
-        if upper[t] == 0.0:  # o's box is [0, 0] when t = n
-            bound[t] = -1
-        if bound.all():  # the distance of z_i to [0, 1] where it is bound
-            bound[np.argmin(np.maximum(-z[:t], z[:t] - 1.0))] = 0
+        bound = _partition(z, 0.0, upper)
         last, key = key, bound.tobytes()
         if key in seen:  # settled, or cycling
             return w, iterations, key == last and bool(np.isfinite(w).all())
@@ -433,10 +447,8 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     raises ValueError).  Every start, and every round's point below, takes
     one path: its entries on S are clipped to [0, 1], or, if that sum leaves
     [lo, hi] by more than t ulps, projected unclipped onto the capped simplex
-    of sum lo or hi.  Its partition binds every weight at 0 or 1, and o where
-    the sum puts it at an end of its box to t ulps, except the first weight
-    where all t + 1 variables are; where t = n, o's box [0, 0] binds it for
-    good.
+    of sum lo or hi; it is partitioned by ``_partition``, with o at an end of
+    its box where the sum puts it there to t ulps.
 
     The kernel is the primal-dual active-set crash (``_pdas_crash``) in
     proximal rounds (Rockafellar, SIAM J. Control Optim. 14(5), 1976).
@@ -467,10 +479,10 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     are negative but at least lo and at most hi: one sort.  The gap is never
     negative in exact arithmetic; where it rounds below 0 it is returned as
     0.  The residual y - B w_S and the gradient that the last gap test forms
-    also give ``objective``.  Partitions are int8 arrays.  ``converged`` is
-    true only if the rounds stopped at their gap test, not at the cap.
+    also give ``objective``.  ``converged`` is true only if the rounds
+    stopped at their gap test, not at the cap.
     """
-    y, u, supp, lo, hi, b_sub = _restrict(a, y, u, k)
+    y, u, supp, lo, hi, b_sub, corr = _restrict(a, y, u, k)
     n, t = u.size, supp.size
     start = np.full(n, k / n) if start is None else as_vector(start, n, "start")
 
@@ -485,8 +497,7 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     w = np.full(t, k / n)  # the restriction of the uniform feasible point
     if hi == 0 or lo == t:  # w, all 0 or all 1, is the only feasible point
         return solution(w, y - b_sub @ w, 0, 0.0, True)
-    # G = B^T B, the crash's matrix; its diagonal holds the squared column
-    # norms of B
+    # G = B^T B, the crash's matrix: its diagonal holds B's squared norms
     gram = b_sub.T @ b_sub
     col_max = float(np.sqrt(gram.diagonal().max()))
     if col_max == 0.0:  # B = 0, or B has no rows: every feasible w is optimal
@@ -498,33 +509,23 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
     # f is strictly convex where B has full column rank, as it generically
     # has for t <= m; otherwise a singular face sends the crash to a retry
     eps = 0.0 if t <= y.size else 1e-6 * c
-    ulps = t * np.finfo(float).eps
+    edge = np.zeros(t + 1)  # a start's o within t ulps of an end is there
+    edge[t] = ulps = t * np.finfo(float).eps
+    edges = edge, upper - edge
 
     def working_set(w: np.ndarray):
-        """(w, bound) for start weights w on S, made feasible; every weight
-        at 0 or 1 is bound, and o at an end of its box where w's sum puts it
-        there to t ulps (at 0 for good when t = n)."""
-        # w clipped to [0, 1]^t, or projected unclipped onto the capped
-        # simplex of sum lo or hi if that sum leaves [lo, hi]; off it by
-        # rounding alone (t ulps) counts as on it: a projection would move
-        # the weights at 1 off their bound
+        """(w, bound): start weights w on S made feasible, and the
+        ``_partition`` of (w, k - sum(w)) against the start's edges."""
+        # a sum off [lo, hi] by rounding alone (t ulps) counts as on it: a
+        # projection would move the weights at 1 off their bound
         clipped = w.clip(0.0, 1.0)
         if lo - ulps <= clipped.sum() <= hi + ulps:
             w = clipped
         else:
             w = project_capped_simplex(w, hi if clipped.sum() > hi else lo)
-        # -1: v_i = 0, +1: v_i = upper_i, in the crash's int8
-        bound = np.empty(t + 1, dtype=np.int8)
-        bound[:t] = (w == 1.0).astype(np.int8) - (w == 0.0)
-        o = k - w.sum()
-        bound[t] = (-1 if t == n or o <= ulps else 1 if o >= n - t - ulps
-                    else 0)
-        if bound.all():  # the sum and t + 1 bounds are dependent: free one
-            bound[0] = 0
-        return w, bound
+        return w, _partition(np.concatenate((w, (k - w.sum(),))), *edges)
 
     w, bound = working_set(start[supp])
-    corr = b_sub.T @ y
     diag = gram.diagonal().copy()  # G's; the crash sees G + eps I
     stop = 1e-5 * ROT_TOLERANCE * max(float(y @ y), c)
     iterations = 0
@@ -534,8 +535,7 @@ def solve_rot(a, y, u, k: int, start=None) -> RotSolution:
         # the Frank-Wolfe gap: the feasible v' minimising grad . v' puts 1 on
         # the smallest entries of grad f(w), as many as are negative within
         # [lo, hi]; never negative in exact arithmetic, it is clamped to +0.0
-        # where it rounds below (max keeps its first argument on a tie with
-        # -0.0)
+        # where it rounds below (max keeps its first argument on ties)
         ones = min(max(int(np.count_nonzero(grad < 0.0)), lo), hi)
         gap = max(0.0, float(grad @ w - np.sort(grad)[:ones].sum()))
         if gap <= stop or iterations == ROT_MAX_ITERATIONS:

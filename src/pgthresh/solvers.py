@@ -41,10 +41,13 @@ def _relative_error(x: np.ndarray, x_star: np.ndarray) -> float:
 def check_recovery(x, x_star, tol: float = RECOVERY_TOLERANCE) -> bool:
     """Relative-error recovery criterion ||x - x*|| / ||x*|| <= tol (inclusive).
 
-    For x* = 0 the criterion degenerates to ||x|| <= tol.
+    For x* = 0 the criterion degenerates to ||x|| <= tol.  Raises ValueError
+    where x and x* differ in shape; a non-finite x does not recover.
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
+    if x.shape != x_star.shape:
+        raise ValueError(f"x has shape {x.shape}, x_star {x_star.shape}")
     return _relative_error(x, x_star) <= tol
 
 
@@ -110,16 +113,16 @@ def _pgot(problem, cfg):
     return step
 
 
-def _relaxed(problem):
-    """relaxed(x, g, p, events) -> w * u, with w the relaxed subproblem's
-    weights at the point u of this step.
+def _relaxed(problem, finish):
+    """The step x -> finish(w * u) of PGROT and PGROTP, with w the relaxed
+    subproblem's weights at the point u of this step.
 
     Each subproblem after the first starts from the previous one's weights
     on the previous supp(u), and from 0 on indices new to supp(u).
     """
     start = None
 
-    def relaxed(x, g, p, events):
+    def step(x, g, p, events):
         nonlocal start
         u = _partial_gradient_point(problem, x, g)
         sol = solve_rot(problem.a, problem.y, u, problem.k, start)
@@ -127,31 +130,23 @@ def _relaxed(problem):
             events.append(f"rot subproblem not converged at iteration {p + 1} "
                           f"(gap={sol.gap:.3e})")
         start = sol.w * (u != 0)
-        return sol.w * u
+        return finish(sol.w * u)
 
-    return relaxed
+    return step
 
 
 def _pgrot(problem, cfg):
     """Relaxed partial-gradient optimal k-thresholding."""
-    relaxed = _relaxed(problem)
-
-    def step(x, g, p, events):
-        return hard_threshold(relaxed(x, g, p, events), problem.k)
-
-    return step
+    return _relaxed(problem, lambda v: hard_threshold(v, problem.k))
 
 
 def _pgrotp(problem, cfg):
     """Relaxed partial-gradient optimal k-thresholding with pursuit step."""
-    relaxed = _relaxed(problem)
-
-    def step(x, g, p, events):
-        v = relaxed(x, g, p, events)
+    def pursuit(v):
         support = top_k_support(v, problem.k)
         return linalg.least_squares_on_support(problem.a, problem.y, support)
 
-    return step
+    return _relaxed(problem, pursuit)
 
 
 def _iht(problem, cfg):

@@ -98,6 +98,16 @@ def test_top_k_support():
     assert list(top_k_support([2, -2, 1], 1)) == [0]
 
 
+@pytest.mark.parametrize("op", [hard_threshold, top_k_support])
+@pytest.mark.parametrize("v", [np.ones((2, 3)), np.ones((1, 4)), 2.5])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_thresholding_rejects_an_input_that_is_not_1d(op, v, k):
+    # before the check, k = 0 returned zeros of v's shape and larger k
+    # failed inside numpy, with an error that depended on k
+    with pytest.raises(ValueError, match="must be 1-d"):
+        op(v, k)
+
+
 def test_exact_optimal_threshold_zero_residual():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 8))
@@ -1211,6 +1221,55 @@ def test_solve_rot_rejects_non_finite_start(bad, m):
             solve_rot(a, y, u, 5, start)
 
 
+@pytest.mark.parametrize("subproblem", [solve_rot, exact_optimal_threshold],
+                         ids=["solve_rot", "exact_optimal_threshold"])
+@pytest.mark.parametrize("where", ["a", "y", "u"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [0, 2, 6])  # k = 0 and k = n return early
+def test_subproblems_reject_non_finite_input(subproblem, where, bad, k):
+    # a non-finite entry of y, of u, or of a column of A on supp(u) used to
+    # come back certified (converged, gap 0) or with fewer than k ones; it
+    # is rejected before any work, with no RuntimeWarning
+    rng = np.random.default_rng(140)
+    a = rng.standard_normal((4, 6))
+    y = rng.standard_normal(4)
+    u = rng.standard_normal(6)
+    u[5] = 0.0
+    a[:, 5] = np.nan  # off supp(u): A is not checked there
+    {"a": a[1], "y": y, "u": u}[where][2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        subproblem(a, y, u, k)
+
+
+@pytest.mark.parametrize("subproblem", [solve_rot, exact_optimal_threshold],
+                         ids=["solve_rot", "exact_optimal_threshold"])
+@pytest.mark.parametrize("where", ["y", "u"])
+def test_subproblems_reject_non_finite_input_where_b_is_zero(subproblem, where):
+    # A[:, S] = 0, so B = 0 and solve_rot returns early: the check comes first
+    a = np.zeros((4, 6))
+    a[:, [1, 4]] = 1.0
+    u = np.array([0.0, 0.0, 2.0, -1.0, 0.0, 3.0])
+    y = np.array([1.0, 0.5, 0.0, 2.0])
+    {"y": y, "u": u}[where][{"y": 1, "u": 3}[where]] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        subproblem(a, y, u, 2)
+
+
+@pytest.mark.parametrize("subproblem", [solve_rot, exact_optimal_threshold],
+                         ids=["solve_rot", "exact_optimal_threshold"])
+@pytest.mark.parametrize("k", [0, 2, 6])
+def test_subproblems_reject_an_inf_of_a_that_meets_a_zero_of_y(subproblem, k):
+    # inf * 0 makes that entry of B^T y NaN, which the check catches too;
+    # numpy may warn of the invalid product first
+    a = np.random.default_rng(141).standard_normal((4, 6))
+    a[1, 2] = np.inf
+    y = np.array([1.0, 0.0, -2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="must be finite"):
+            subproblem(a, y, np.ones(6), k)
+
+
 def _duplicated_columns(rng, m=6):
     a = rng.standard_normal((m, 10)) / np.sqrt(m)
     a[:, 1] = a[:, 0]
@@ -1333,3 +1392,126 @@ def test_solve_rot_constant_objective_converges(u):
     assert sol.converged and sol.gap == 0.0
     assert abs(sol.w.sum() - 2) <= 1e-12
     assert np.all(sol.w >= 0) and np.all(sol.w <= 1)
+
+
+def test_partition_clauses():
+    upper = np.array([1.0, 1.0, 1.0, 2.0])
+    # -1 at or below low, +1 at or above high, free between, as int8
+    bound = operators._partition(np.array([-0.5, 0.5, 1.0, 0.0]), 0.0, upper)
+    assert bound.dtype == np.int8
+    np.testing.assert_array_equal(bound, [-1, 0, 1, -1])
+    np.testing.assert_array_equal(
+        operators._partition(np.array([0.1, 0.9, 0.5, 1.5]),
+                             np.array([0.0, 0.0, 0.0, 0.5]),
+                             np.array([1.0, 0.9, 1.0, 1.5])), [0, 1, 0, 1])
+    # high[-1] <= 0 (o's box is [0, 0] when t = n): o stays at 0
+    for o in (-1.0, 0.0, 0.5, 3.0):
+        bound = operators._partition(np.array([0.5, 0.2, o]), 0.0,
+                                     np.array([1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(bound, [0, 0, -1])
+    # every variable bound: the weight nearest its box [0, 1] is freed, the
+    # first on a tie, and never o
+    np.testing.assert_array_equal(
+        operators._partition(np.array([-0.3, 1.1, -0.05, 2.5]), 0.0, upper),
+        [-1, 1, 0, 1])
+    np.testing.assert_array_equal(
+        operators._partition(np.array([0.0, 1.0, 0.0, 0.0]), 0.0, upper),
+        [0, 1, -1, -1])
+    np.testing.assert_array_equal(
+        operators._partition(np.array([-2.0, 1.5, 5.0]), 0.0,
+                             np.array([1.0, 1.0, 0.0])), [-1, 0, -1])
+
+
+def _inline_start_partition(w, k, n):
+    """A start's partition as solve_rot wrote it inline before
+    ``_partition``, kept as the oracle: -1 at 0, +1 at 1, o at an end of
+    its box to t ulps (at 0 for good when t = n), and the first weight freed
+    where all t + 1 variables are bound."""
+    t = w.size
+    ulps = t * np.finfo(float).eps
+    bound = np.empty(t + 1, dtype=np.int8)
+    bound[:t] = (w == 1.0).astype(np.int8) - (w == 0.0)
+    o = k - w.sum()
+    bound[t] = -1 if t == n or o <= ulps else 1 if o >= n - t - ulps else 0
+    all_bound = bool(bound.all())
+    if all_bound:
+        bound[0] = 0
+    return bound, all_bound
+
+
+def _inline_crash_partition(z, upper):
+    """A crash iteration's partition as _pdas_crash wrote it inline before
+    ``_partition``, kept as the oracle."""
+    t = z.size - 1
+    bound = (z >= upper).astype(np.int8) - (z <= 0.0)
+    if upper[t] == 0.0:
+        bound[t] = -1
+    if bound.all():
+        bound[np.argmin(np.maximum(-z[:t], z[:t] - 1.0))] = 0
+    return bound
+
+
+def _sum_near(total: int, t: int, shift: int) -> np.ndarray:
+    """t weights in [0, 1], some exactly 0 and 1, whose float sum is off
+    ``total``, 0 < total < t, by rounding alone: less than t ulps, in the
+    direction of ``shift``."""
+    w = np.zeros(t)
+    w[:total] = 1.0
+    w[0], w[-1] = 0.75, 0.25 + shift * 0.5 * t * np.finfo(float).eps
+    return w
+
+
+@pytest.mark.parametrize("n, k, t", [(8, 3, 5), (8, 3, 8), (6, 3, 5),
+                                     (9, 4, 6)])
+def test_start_partition_matches_the_inline_rule(n, k, t, monkeypatch):
+    # every start and every settled point is partitioned as the inline rule
+    # did, bit for bit, and so is every crash iteration's z
+    calls = []
+    partition = operators._partition
+
+    def recording(v, low, high):
+        bound = partition(v, low, high)
+        calls.append((v.copy(), np.ndim(low), np.array(high), bound))
+        return bound
+
+    monkeypatch.setattr(operators, "_partition", recording)
+    rng = np.random.default_rng(150 + 10 * n + t)
+    lo, hi = max(0, k - (n - t)), min(k, t)
+    ulps = t * np.finfo(float).eps
+    starts = [None]
+    for _ in range(6):
+        starts.append(rng.uniform(-0.5, 1.5, n))
+        exact = rng.uniform(0.0, 1.0, n)  # exact 0 and 1 entries
+        exact[rng.choice(n, size=n // 2, replace=False)] = rng.integers(0, 2,
+                                                                         n // 2)
+        starts.append(exact)
+    for total in (lo, hi):  # all-bound starts where lo or hi is an integer
+        w = np.zeros(n)
+        w[:total] = 1.0
+        starts.append(w)
+        for shift in (-1, 1) if total else ():  # sums at lo and hi
+            w_s = _sum_near(total, t, shift)
+            assert 0.0 < shift * (w_s.sum() - total) <= ulps
+            starts.append(np.concatenate((w_s, rng.uniform(0.0, 1.0, n - t))))
+    all_bound = at_ends = 0
+    for start in starts:
+        m = t + int(rng.integers(-1, 2))  # eps = 0, and a proximal term
+        a = rng.standard_normal((m, n)) / np.sqrt(m)
+        y = rng.standard_normal(m)
+        u = np.zeros(n)
+        u[:t] = rng.standard_normal(t)
+        calls.clear()
+        sol = solve_rot(a, y, u, k, start)
+        _assert_certified(a, y, u, k, sol)
+        assert calls and calls[0][1] == 1  # the start is partitioned first
+        for v, ndim, high, bound in calls:
+            if ndim:  # a start or a settled point, against its edges
+                w = v[:t]
+                assert v[t] == k - w.sum()
+                oracle, bound_all = _inline_start_partition(w, k, n)
+                all_bound += bound_all
+                at_ends += bound[t] != 0 and t < n
+            else:  # a crash iteration, against [0, upper]
+                oracle = _inline_crash_partition(v, high)
+            assert bound.tobytes() == oracle.tobytes()
+    assert all_bound and (at_ends or t == n)

@@ -408,6 +408,18 @@ def test_check_recovery_cases():
     assert not check_recovery(np.array([1.0, 0.0]), np.zeros(2), 1e-3)
 
 
+def test_check_recovery_rejects_mismatched_shapes():
+    # numpy used to broadcast them: ones(3) "recovered" ones(1)
+    for x, x_star in ((np.ones(3), np.ones(1)), (np.ones((3, 1)), np.ones(3)),
+                      (np.ones(2), np.ones(3))):
+        with pytest.raises(ValueError, match="shape"):
+            check_recovery(x, x_star)
+    # a non-finite x still just fails to recover
+    for bad in (np.nan, np.inf):
+        assert not check_recovery(np.array([1.0, bad]), np.array([1.0, 0.0]))
+        assert not check_recovery(np.array([bad, 0.0]), np.zeros(2))
+
+
 def test_max_iterations_termination():
     problem = _planted(10, 30, 8, 16, seed=2)
     report = solve(problem, "iht", SolverConfig(max_iterations=3))
