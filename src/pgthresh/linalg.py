@@ -40,7 +40,11 @@ def objective(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
 
 
 def residual_norm(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
-    """||y - A x||_2, the quantity recorded in solver traces."""
+    """||y - A x||_2 from the dense product A x.
+
+    Solver traces record the same norm formed on the nonzero columns of x,
+    so their last bits can differ from this one.
+    """
     r = np.asarray(y, dtype=float) - mat_vec(a, x)
     return float(np.linalg.norm(r))
 

@@ -57,11 +57,21 @@ def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray,
     return x + problem.lam * hard_threshold(g, problem.q)
 
 
+def _residual(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """r = y - A x, formed on the nonzero columns S of x: y - A[:, S] x_S.
+
+    Every iterate has at most k nonzeros, so the loop reads at most k
+    columns of A, not n; at x = 0 it gathers none and r = y.
+    """
+    supp = x.nonzero()[0]
+    return y - a[:, supp] @ x[supp]
+
+
 def pgot_step(a, y, x, k: int, q: int) -> np.ndarray:
     """One exact PGOT iteration from x (used by the theory verifier too)."""
     problem = ProblemInstance(a, y, k=k, q=q)
     x = np.asarray(x, dtype=float)
-    g = problem.a.T @ (problem.y - problem.a @ x)
+    g = problem.a.T @ _residual(problem.a, problem.y, x)
     return _pgot(problem, SolverConfig())(x, g, 0, [])
 
 
@@ -71,7 +81,10 @@ def _run(problem: ProblemInstance, budget: int, step):
 
     The only place the loop forms the residual r = y - A x: ||r|| is the
     trace objective and the residual stop, and ``step(x, g, p, events)``
-    receives the gradient g = A^T r of the iterate it moves from.
+    receives the gradient g = A^T r of the iterate it moves from.  r comes
+    from ``_residual``, on the nonzero columns of x only, so the objective
+    can differ in its last bits from the norm of a dense y - A @ x.  The
+    gradient stays dense: every method reads all n entries of it.
     """
     a, y, truth = problem.a, problem.y, problem.truth
     x = np.zeros(problem.n)
@@ -80,7 +93,7 @@ def _run(problem: ProblemInstance, budget: int, step):
     trace: list[TraceEntry] = []
     p = 0
     while True:
-        r = y - a @ x
+        r = _residual(a, y, x)
         residual = float(np.linalg.norm(r))
         rel = None if truth is None else _relative_error(x, truth)
         trace.append(TraceEntry(p, residual, rel))

@@ -873,8 +873,8 @@ def test_solve_rot_objective_and_gap_come_from_the_returned_weights(monkeypatch)
 
 def test_solve_rot_clamps_a_gap_negative_by_rounding(monkeypatch):
     # found by search: the second ROT call of this phase instance minimises
-    # f to rounding, and its Frank-Wolfe gap rounds to -8.9e-16
-    a, y, u, k, start = _recorded_rot_calls(monkeypatch, 4, [47])[1]
+    # f to rounding, and its Frank-Wolfe gap rounds to -1.3e-15
+    a, y, u, k, start = _recorded_rot_calls(monkeypatch, 2, [24])[1]
     sol = solve_rot(a, y, u, k, start)
     _, gap = _kernel_objective_and_gap(a, y, u, k, sol)
     assert gap < 0.0
@@ -1264,6 +1264,22 @@ def test_subproblems_reject_an_inf_of_a_that_meets_a_zero_of_y(subproblem, k):
     a = np.random.default_rng(141).standard_normal((4, 6))
     a[1, 2] = np.inf
     y = np.array([1.0, 0.0, -2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="must be finite"):
+            subproblem(a, y, np.ones(6), k)
+
+
+@pytest.mark.parametrize("subproblem", [solve_rot, exact_optimal_threshold],
+                         ids=["solve_rot", "exact_optimal_threshold"])
+@pytest.mark.parametrize("k", [0, 2, 6])
+def test_subproblems_reject_inf_and_minus_inf_in_one_column_of_a(subproblem,
+                                                                 k):
+    # inf * 1 + (-inf) * 0.5 makes that entry of B^T y NaN, which the check
+    # catches; numpy may warn of the invalid sum first
+    a = np.random.default_rng(142).standard_normal((4, 6))
+    a[[0, 3], 2] = [np.inf, -np.inf]
+    y = np.array([1.0, -1.5, -2.0, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ValueError, match="must be finite"):

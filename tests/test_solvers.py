@@ -151,15 +151,18 @@ def test_omp_runs_k_steps_whatever_max_iterations(max_iterations):
 
 
 def test_pgot_step_is_one_pgot_iteration():
-    # pgot_step and solve(..., "pgot") take the same step
-    problem = dataclasses.replace(_planted(8, 12, 2, 4, seed=3, sigma=0.1),
-                                  truth=None)
-    x = np.zeros(problem.n)
-    for p in range(1, 4):
-        x = pgot_step(problem.a, problem.y, x, problem.k, problem.q)
-        report = solve(problem, "pgot", SolverConfig(max_iterations=p))
-        assert report.iterations == p
-        assert x.tobytes() == report.final_x.tobytes()
+    # pgot_step and solve(..., "pgot") take the same step, bit for bit; at
+    # 30 x 60 a residual from all n columns of A would differ from the
+    # loop's, formed on supp(x), in its last bits, and the steps show it
+    for m, n, k, q, seed in ((8, 12, 2, 4, 3), (30, 60, 4, 8, 0)):
+        problem = dataclasses.replace(
+            _planted(m, n, k, q, seed=seed, sigma=0.1), truth=None)
+        x = np.zeros(problem.n)
+        for p in range(1, 5):
+            x = pgot_step(problem.a, problem.y, x, problem.k, problem.q)
+            report = solve(problem, "pgot", SolverConfig(max_iterations=p))
+            assert report.iterations == p
+            assert x.tobytes() == report.final_x.tobytes()
 
 
 def test_omp_desk_recovery():
@@ -322,16 +325,28 @@ def test_full_gradient_reduction_traces_identical(partial, full):
 
 @pytest.mark.parametrize("algo", ALGORITHM_IDS)
 def test_recovery_reported_only_when_criterion_passes(algo):
-    # the loop's own recovery test and trace objective agree with the public
-    # helpers; the exhaustive pgot / ot subproblems need a smaller instance
+    # the loop's own recovery test agrees with the public helper, and its
+    # trace objective is ||y - A[:, S] x_S|| on S = supp(x), bit for bit; the
+    # exhaustive pgot / ot subproblems need a smaller instance
     for seed in range(10):
         problem = (_planted(8, 12, 2, 4, seed=seed) if algo in ("pgot", "ot")
                    else _planted(20, 40, 4, 8, seed=seed))
         report = solve(problem, algo, SolverConfig(max_iterations=10))
         assert ((report.termination == RECOVERY)
                 == check_recovery(report.final_x, problem.truth, 1e-3))
-        assert report.trace[-1].objective == residual_norm(
-            problem.a, problem.y, report.final_x)
+        x = report.final_x
+        supp = np.flatnonzero(x)
+        assert report.trace[-1].objective == np.linalg.norm(
+            problem.y - problem.a[:, supp] @ x[supp])
+
+
+@pytest.mark.parametrize("algo", ALGORITHM_IDS)
+def test_first_trace_objective_is_the_norm_of_y(algo):
+    # x0 = 0 has no nonzero column to gather: r = y exactly
+    problem = _planted(8, 12, 2, 4, seed=2, sigma=0.1)
+    report = solve(problem, algo, SolverConfig(max_iterations=1))
+    assert report.trace[0].iteration == 0
+    assert report.trace[0].objective == np.linalg.norm(problem.y)
 
 
 @pytest.mark.parametrize("algo", ["pgrot", "pgrotp", "rotp"])
