@@ -49,17 +49,6 @@ def residual_norm(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(r))
 
 
-def gram_lambda_max(b: np.ndarray) -> float:
-    """Exact lambda_max(B^T B) = ||B||_2^2, from the smaller Gram matrix.
-
-    B^T B and B B^T share their nonzero eigenvalues.  An empty B gives 0.
-    """
-    if b.size == 0:
-        return 0.0
-    gram = b.T @ b if b.shape[1] <= b.shape[0] else b @ b.T
-    return float(np.linalg.eigvalsh(gram)[-1])
-
-
 # The normal equations square the condition number of the support's columns,
 # so they run only while the smallest Cholesky pivot of the Gram matrix (an
 # upper bound on the least singular value) exceeds this fraction of the

@@ -162,15 +162,52 @@ def _pgrotp(problem, cfg):
     return _relaxed(problem, pursuit)
 
 
+# NIHT's backtracking constants (Blumensath & Davies, IEEE J-STSP 4(2), 2010)
+_NIHT_KAPPA = 2.0
+_NIHT_C = 0.01
+
+
 def _iht(problem, cfg):
-    """Iterative hard thresholding x <- H_k(x + lam A^T (y - A x))."""
-    lam = problem.lam
-    if cfg.normalize_stepsize:
-        lmax = linalg.gram_lambda_max(problem.a)
-        lam = 1.0 / lmax if lmax > 0 else lam  # A = 0: the step is moot
+    """Iterative hard thresholding x <- H_k(x + mu g), g = A^T (y - A x).
+
+    The step mu is lam, or with ``cfg.normalize_stepsize`` that of
+    normalized IHT (Blumensath & Davies, IEEE J-STSP 4(2), 2010): on the
+    support G = supp(x), or supp(H_k(g)) at x = 0, mu = ||g_G||^2 /
+    ||A_G g_G||^2, exact line search along g_G.  Where x~ = H_k(x + mu g)
+    leaves G, mu is divided by kappa (1 - c) until mu <= omega =
+    (1 - c) ||x~ - x||^2 / ||A (x~ - x)||^2, which keeps ||y - A x||
+    non-increasing.  Every product gathers the columns of G or of
+    supp(x~ - x), at most 2k of them.  Where A_G g_G = 0 (x fits y on its
+    support) the step returns x, and the loop stops it as stalled.
+    """
+    a, k = problem.a, problem.k
+    if not cfg.normalize_stepsize:
+        def step(x, g, p, events):
+            return hard_threshold(x + problem.lam * g, k)
+
+        return step
 
     def step(x, g, p, events):
-        return hard_threshold(x + lam * g, problem.k)
+        support = np.flatnonzero(x)
+        if support.size == 0:
+            support = top_k_support(g, k)
+        g_s = g[support]
+        a_g = a[:, support] @ g_s
+        curvature = a_g @ a_g
+        if curvature == 0.0:
+            return x
+        mu = (g_s @ g_s) / curvature
+        while True:
+            x_next = hard_threshold(x + mu * g, k)
+            if np.array_equal(np.flatnonzero(x_next), support):
+                return x_next
+            d = x_next - x
+            moved = np.flatnonzero(d)
+            a_d = a[:, moved] @ d[moved]
+            # mu <= omega, written so that a NaN ends the search as well
+            if not mu * (a_d @ a_d) > (1.0 - _NIHT_C) * (d @ d):
+                return x_next
+            mu /= _NIHT_KAPPA * (1.0 - _NIHT_C)
 
     return step
 

@@ -3,7 +3,7 @@ import pytest
 
 from pgthresh import (least_squares_on_support, mat_vec, objective,
                       residual_norm, transpose_mat_vec)
-from pgthresh.linalg import LSQ_PIVOT_RATIO, gram_lambda_max
+from pgthresh.linalg import LSQ_PIVOT_RATIO
 
 
 def test_mat_vec_identity():
@@ -177,10 +177,3 @@ def test_adjointness():
         lhs = float(mat_vec(a, x) @ r)
         rhs = float(x @ transpose_mat_vec(a, r))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (4, 0), (0, 4)])
-def test_gram_lambda_max_is_squared_spectral_norm(shape):
-    b = np.random.default_rng(sum(shape)).standard_normal(shape)
-    expected = np.linalg.norm(b, 2) ** 2 if b.size else 0.0
-    assert gram_lambda_max(b) == pytest.approx(expected, rel=1e-12, abs=1e-300)

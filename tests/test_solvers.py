@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pgthresh import (ALGORITHM_IDS, MAX_ITERATIONS, RECOVERY, RESIDUAL,
-                      ProblemInstance, SolverConfig, check_recovery,
+                      STALLED, ProblemInstance, SolverConfig, check_recovery,
                       hard_threshold, least_squares_on_support, pgot_step,
                       residual_norm, solve, solve_rot, top_k_support)
 from pgthresh import operators, solvers
@@ -125,9 +125,10 @@ def test_iht_desk_recovery():
     assert hits >= 6
 
 
-def test_iht_normalized_step_is_exact_inverse_lipschitz(monkeypatch):
-    # A = 3 I: lam = 1 / ||A||_2^2 = 1/9 maps y = 3 x* to x* in one step,
-    # which an estimated or padded ||A||_2^2 misses by more than the tolerance
+def test_niht_step_is_the_exact_line_search_on_the_support(monkeypatch):
+    # A = 3 I: NIHT's mu = ||g_G||^2 / ||3 g_G||^2 = 1/9 maps y = 3 x* to x*
+    # in one step, which a step off the exact line search misses by more
+    # than the tolerance; at A = 0 the gradient is 0 and the step returns x
     monkeypatch.setattr(solvers, "RECOVERY_TOLERANCE", 1e-12)
     x_star = np.array([0.0, 2.0, 0.0, -1.0, 0.0, 0.0])
     problem = ProblemInstance(3 * np.eye(6), 3 * x_star, k=2, q=2, truth=x_star)
@@ -136,6 +137,71 @@ def test_iht_normalized_step_is_exact_inverse_lipschitz(monkeypatch):
     assert report.termination == RECOVERY and report.iterations == 1
     zero = ProblemInstance(np.zeros((3, 5)), np.ones(3), k=2, q=2)
     assert np.all(solve(zero, "iht", cfg).final_x == 0)
+
+
+@pytest.mark.parametrize("k", [10, 20])
+def test_niht_recovers_the_bench_instances(k):
+    # the fixed step 1/||A||_2^2 recovered none of these in 50 steps
+    cfg = ExperimentConfig(m=100, n=200, k_grid=(k,), seed=7)
+    hits = sum(
+        solve(make_trial_problem(cfg, k, 2 * k, "iht", trial), "iht",
+              SolverConfig(normalize_stepsize=True)).termination == RECOVERY
+        for trial in range(10))
+    assert hits >= 9
+
+
+@pytest.mark.parametrize("m, n, k, seed", [
+    (40, 80, 8, 0), (40, 80, 10, 1), (60, 120, 15, 2), (100, 200, 30, 3)])
+def test_niht_trace_objective_never_rises(m, n, k, seed):
+    problem = dataclasses.replace(
+        _planted(m, n, k, 2 * k, seed=seed, sigma=0.05), truth=None)
+    report = solve(problem, "iht", SolverConfig(normalize_stepsize=True))
+    objectives = [entry.objective for entry in report.trace]
+    assert all(later <= earlier * (1 + 1e-12)
+               for earlier, later in zip(objectives, objectives[1:]))
+
+
+def test_niht_backtracks_until_mu_passes_omega():
+    # at this instance's second step, H_k(x + mu g) at the first mu leaves
+    # supp(x) and fails mu <= omega; the step returns H_k(x + mu' g) for the
+    # first mu' = mu / (kappa (1 - c))^j that passes, with j >= 1
+    problem = _planted(8, 16, 3, 6, seed=0)
+    a, y, k = problem.a, problem.y, problem.k
+    step = solvers._iht(problem, SolverConfig(normalize_stepsize=True))
+    x = step(np.zeros(16), a.T @ y, 0, [])
+    g = a.T @ (y - a @ x)
+    support = np.flatnonzero(x)
+    mu = (g[support] @ g[support]) / np.sum((a[:, support] @ g[support]) ** 2)
+
+    def passes(mu):
+        x_next = hard_threshold(x + mu * g, k)
+        d = x_next - x
+        return (np.array_equal(np.flatnonzero(x_next), support)
+                or mu * np.sum((a @ d) ** 2) <= 0.99 * (d @ d))
+
+    assert not passes(mu)
+    while not passes(mu):
+        mu /= 2 * 0.99
+    x_next = step(x, g, 1, [])
+    assert np.allclose(x_next, hard_threshold(x + mu * g, k), rtol=1e-12, atol=0)
+    assert np.linalg.norm(y - a @ x_next) < np.linalg.norm(y - a @ x)
+
+
+@pytest.mark.parametrize("a, y, k, final_x, iterations", [
+    # x = 0 and A^T y = 0: the support of H_k(g) is empty
+    (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]), 1,
+     np.zeros(2), 1),
+    # A = I: the first step fits y on its support, so g_G = 0 at the second
+    (np.eye(4), np.array([3.0, -2.0, 1.0, 0.5]), 2,
+     np.array([3.0, -2.0, 0.0, 0.0]), 2)])
+def test_niht_stalls_where_a_g_on_the_support_is_zero(a, y, k, final_x,
+                                                      iterations):
+    # A != 0, but A_G g_G = 0: the step returns x rather than divide 0 by 0
+    report = solve(ProblemInstance(a, y, k=k, q=k), "iht",
+                   SolverConfig(normalize_stepsize=True))
+    assert report.termination == STALLED
+    assert report.iterations == iterations
+    assert np.array_equal(report.final_x, final_x)
 
 
 @pytest.mark.parametrize("max_iterations", [1, 4, 5, 6, 50])
