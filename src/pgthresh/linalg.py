@@ -1,13 +1,16 @@
 """Dense linear-algebra primitives used by the solvers.
 
-``least_squares_on_support`` is the fit behind the pursuit step of pgrotp
-and both fits of an sp step.  It solves the normal equations of the support
-when a Cholesky factor of their Gram matrix shows the columns clearly
-independent, and falls back to ``np.linalg.lstsq`` (SVD, minimum-norm
-solution) when they are not.  omp grows its own inverse Cholesky factor one
-column per step (``solvers._omp``) under the same pivot bound,
-``LSQ_PIVOT_RATIO``, and calls this function from the first step whose
-pivot fails it or whose support outgrows m.
+``least_squares_on_columns`` is the one least-squares fit: the pursuit step
+of pgrotp and both fits of an sp step call it on the columns their solve's
+column cache returns (``solvers._Columns``), and
+``least_squares_on_support`` checks its arguments, gathers the support's
+columns from A and calls it.  It solves the normal equations when a
+Cholesky factor of their Gram matrix shows the columns clearly independent,
+and falls back to ``np.linalg.lstsq`` (SVD, minimum-norm solution) when
+they are not.  omp grows its own inverse Cholesky factor one column per
+step (``solvers._omp``) under the same pivot bound, ``LSQ_PIVOT_RATIO``,
+and calls ``least_squares_on_support`` from the first step whose pivot
+fails it or whose support outgrows m.
 """
 
 from __future__ import annotations
@@ -65,17 +68,14 @@ def least_squares_on_support(a: np.ndarray, y: np.ndarray,
     Returns the full-length vector z.  ``support`` is a sequence or array
     of integer indices; repeated indices are merged, and indices that are
     not integers or lie outside [0, n) raise ValueError.  The empty support
-    yields the zero vector.  When the support has at most m columns and the
-    smallest Cholesky pivot of their Gram matrix is above ``LSQ_PIVOT_RATIO``
-    times their largest norm, the normal equations are solved; otherwise
-    (more columns than rows, or columns that are dependent or nearly so)
-    ``np.linalg.lstsq`` gives the minimum-norm solution.
+    yields the zero vector.  The fit is ``least_squares_on_columns`` on the
+    support's columns, in increasing index order.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     if a.ndim != 2 or y.ndim != 1 or a.shape[0] != y.size:
         raise ValueError(f"dimension mismatch: A is {a.shape}, y has length {y.size}")
-    m, n = a.shape
+    n = a.shape[1]
     idx = np.unique(np.asarray(support))
     z = np.zeros(n)
     if idx.size == 0:
@@ -84,8 +84,21 @@ def least_squares_on_support(a: np.ndarray, y: np.ndarray,
         raise ValueError(f"support indices must be integers, got {idx.dtype}")
     if idx[0] < 0 or idx[-1] >= n:
         raise ValueError(f"support indices out of range [0, {n})")
-    cols = a[:, idx]
-    if idx.size <= m:
+    z[idx] = least_squares_on_columns(a[:, idx], y)
+    return z
+
+
+def least_squares_on_columns(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The coefficients c minimizing ||y - cols c||_2, for an m x t block
+    of columns with t >= 1.
+
+    When t <= m and the smallest Cholesky pivot of the Gram matrix is above
+    ``LSQ_PIVOT_RATIO`` times the largest column norm, the normal equations
+    are solved; otherwise (more columns than rows, or columns that are
+    dependent or nearly so) ``np.linalg.lstsq`` gives the minimum-norm
+    solution.  The arguments are not checked.
+    """
+    if cols.shape[1] <= cols.shape[0]:
         gram = cols.T @ cols
         # pivot j of the Cholesky factor is the distance of column j to the
         # span of those before it; the factor only tests the rank
@@ -94,8 +107,6 @@ def least_squares_on_support(a: np.ndarray, y: np.ndarray,
         except np.linalg.LinAlgError:
             pivot = 0.0
         if pivot > LSQ_PIVOT_RATIO * np.sqrt(gram.diagonal().max()):
-            z[idx] = np.linalg.solve(gram, cols.T @ y)
-            return z
+            return np.linalg.solve(gram, cols.T @ y)
     coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    z[idx] = coef
-    return z
+    return coef

@@ -7,7 +7,9 @@ convex relaxation), PGROTP (relaxation plus pursuit step) and the IHT / OMP
 / SP baselines.  The two subproblems live in ``operators``; a PGROT or
 PGROTP solve warm-starts each relaxed subproblem after its first from the
 previous step's weights.  The q = n reductions OT, ROT and ROTP are the
-same algorithms with the partial-gradient width forced to n.
+same algorithms with the partial-gradient width forced to n.  A solve reads
+the columns its products gather through one ``_Columns`` cache, so each
+column it reads is copied once into contiguous memory.
 """
 
 from __future__ import annotations
@@ -57,34 +59,78 @@ def _partial_gradient_point(problem: ProblemInstance, x: np.ndarray,
     return x + problem.lam * hard_threshold(g, problem.q)
 
 
-def _residual(a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+class _Columns:
+    """The columns of A one solve reads, each copied once, on its first read.
+
+    ``cols(idx)`` returns A[:, idx] for an integer array of distinct column
+    indices.  Each column not read before is gathered from A, in one strided
+    gather per call, into the next free row of an n x m buffer, and a slot
+    array maps each column to its row.  The call returns the rows of idx,
+    transposed: the same F-ordered m x len(idx) block that ``a[:, idx]``
+    returns, so every product formed from it keeps that block's bits, but
+    read from contiguous memory, where a column of the row-major A spans m
+    cache lines.  Only the rows a solve fills become resident memory.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self._a = a
+        self._rows = np.empty(a.shape[::-1])
+        self._slots = np.full(a.shape[1], -1)
+        self.filled = 0  # rows of the buffer in use, one per column read
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        slots = self._slots[idx]
+        new = idx[slots < 0]
+        if new.size:
+            end = self.filled + new.size
+            self._rows[self.filled:end] = self._a[:, new].T
+            self._slots[new] = np.arange(self.filled, end)
+            self.filled = end
+            slots = self._slots[idx]
+        return self._rows[slots].T
+
+
+def _residual(cols: _Columns, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """r = y - A x, formed on the nonzero columns S of x: y - A[:, S] x_S.
 
     Every iterate has at most k nonzeros, so the loop reads at most k
-    columns of A, not n; at x = 0 it gathers none and r = y.
+    columns of A, not n, and reads them through the solve's column cache;
+    at x = 0 it gathers none and r = y.
     """
     supp = x.nonzero()[0]
-    return y - a[:, supp] @ x[supp]
+    return y - cols(supp) @ x[supp]
+
+
+def _fit(cols: _Columns, y: np.ndarray, support: np.ndarray,
+         n: int) -> np.ndarray:
+    """``least_squares_on_support`` on sorted, distinct ``support``, fitted
+    on the cache's columns: the same block, so the same bits."""
+    z = np.zeros(n)
+    if support.size:
+        z[support] = linalg.least_squares_on_columns(cols(support), y)
+    return z
 
 
 def pgot_step(a, y, x, k: int, q: int) -> np.ndarray:
     """One exact PGOT iteration from x (used by the theory verifier too)."""
     problem = ProblemInstance(a, y, k=k, q=q)
     x = np.asarray(x, dtype=float)
-    g = problem.a.T @ _residual(problem.a, problem.y, x)
-    return _pgot(problem, SolverConfig())(x, g, 0, [])
+    cols = _Columns(problem.a)
+    g = problem.a.T @ _residual(cols, problem.y, x)
+    return _pgot(problem, SolverConfig(), cols)(x, g, 0, [])
 
 
-def _run(problem: ProblemInstance, budget: int, step):
+def _run(problem: ProblemInstance, cols: _Columns, budget: int, step):
     """Shared iteration loop: x0 = 0, stopping by recovery / residual / stall
     or after ``budget`` steps.
 
     The only place the loop forms the residual r = y - A x: ||r|| is the
     trace objective and the residual stop, and ``step(x, g, p, events)``
     receives the gradient g = A^T r of the iterate it moves from.  r comes
-    from ``_residual``, on the nonzero columns of x only, so the objective
-    can differ in its last bits from the norm of a dense y - A @ x.  The
-    gradient stays dense: every method reads all n entries of it.
+    from ``_residual``, on the nonzero columns of x only, read through the
+    solve's column cache ``cols``, so the objective can differ in its last
+    bits from the norm of a dense y - A @ x.  The gradient stays a dense
+    product with A: every method reads all n entries of it.
     """
     a, y, truth = problem.a, problem.y, problem.truth
     x = np.zeros(problem.n)
@@ -93,7 +139,7 @@ def _run(problem: ProblemInstance, budget: int, step):
     trace: list[TraceEntry] = []
     p = 0
     while True:
-        r = _residual(a, y, x)
+        r = _residual(cols, y, x)
         residual = float(np.linalg.norm(r))
         rel = None if truth is None else _relative_error(x, truth)
         trace.append(TraceEntry(p, residual, rel))
@@ -113,9 +159,10 @@ def _run(problem: ProblemInstance, budget: int, step):
                             termination=termination, events=events)
 
 
-# Each builder returns its method's step(x, g, p, events) for one problem.
+# Each builder returns its method's step(x, g, p, events) for one problem;
+# ``cols`` is the solve's column cache.
 
-def _pgot(problem, cfg):
+def _pgot(problem, cfg, cols):
     """Partial-gradient optimal k-thresholding with exhaustive subproblem."""
     def step(x, g, p, events):
         u = _partial_gradient_point(problem, x, g)
@@ -148,16 +195,15 @@ def _relaxed(problem, finish):
     return step
 
 
-def _pgrot(problem, cfg):
+def _pgrot(problem, cfg, cols):
     """Relaxed partial-gradient optimal k-thresholding."""
     return _relaxed(problem, lambda v: hard_threshold(v, problem.k))
 
 
-def _pgrotp(problem, cfg):
+def _pgrotp(problem, cfg, cols):
     """Relaxed partial-gradient optimal k-thresholding with pursuit step."""
     def pursuit(v):
-        support = top_k_support(v, problem.k)
-        return linalg.least_squares_on_support(problem.a, problem.y, support)
+        return _fit(cols, problem.y, top_k_support(v, problem.k), problem.n)
 
     return _relaxed(problem, pursuit)
 
@@ -167,7 +213,7 @@ _NIHT_KAPPA = 2.0
 _NIHT_C = 0.01
 
 
-def _iht(problem, cfg):
+def _iht(problem, cfg, cols):
     """Iterative hard thresholding x <- H_k(x + mu g), g = A^T (y - A x).
 
     The step mu is lam, or with ``cfg.normalize_stepsize`` that of
@@ -177,10 +223,11 @@ def _iht(problem, cfg):
     leaves G, mu is divided by kappa (1 - c) until mu <= omega =
     (1 - c) ||x~ - x||^2 / ||A (x~ - x)||^2, which keeps ||y - A x||
     non-increasing.  Every product gathers the columns of G or of
-    supp(x~ - x), at most 2k of them.  Where A_G g_G = 0 (x fits y on its
-    support) the step returns x, and the loop stops it as stalled.
+    supp(x~ - x), at most 2k of them, through the solve's column cache: a
+    solve reads the same few columns many times.  Where A_G g_G = 0 (x fits
+    y on its support) the step returns x, and the loop stops it as stalled.
     """
-    a, k = problem.a, problem.k
+    k = problem.k
     if not cfg.normalize_stepsize:
         def step(x, g, p, events):
             return hard_threshold(x + problem.lam * g, k)
@@ -192,7 +239,7 @@ def _iht(problem, cfg):
         if support.size == 0:
             support = top_k_support(g, k)
         g_s = g[support]
-        a_g = a[:, support] @ g_s
+        a_g = cols(support) @ g_s
         curvature = a_g @ a_g
         if curvature == 0.0:
             return x
@@ -203,7 +250,7 @@ def _iht(problem, cfg):
                 return x_next
             d = x_next - x
             moved = np.flatnonzero(d)
-            a_d = a[:, moved] @ d[moved]
+            a_d = cols(moved) @ d[moved]
             # mu <= omega, written so that a NaN ends the search as well
             if not mu * (a_d @ a_d) > (1.0 - _NIHT_C) * (d @ d):
                 return x_next
@@ -212,7 +259,7 @@ def _iht(problem, cfg):
     return step
 
 
-def _omp(problem, cfg):
+def _omp(problem, cfg, cols):
     """Orthogonal matching pursuit: one greedy column per step.
 
     The fit on the j selected columns A_T uses W = L^-1, the inverse of the
@@ -223,7 +270,9 @@ def _omp(problem, cfg):
     stay above the bound ``least_squares_on_support`` puts on its own.  From
     the first step whose pivot does not, or whose support outgrows m rows,
     every step calls ``least_squares_on_support``, so a dependent support
-    keeps its minimum-norm answer.
+    keeps its minimum-norm answer.  omp reads its columns from A, not from
+    the column cache: a contiguous copy of a column changes the last bits of
+    the dot products the factor is grown from.
     """
     a, y = problem.a, problem.y
     m, n = a.shape
@@ -265,13 +314,13 @@ def _omp(problem, cfg):
     return step
 
 
-def _sp(problem, cfg):
+def _sp(problem, cfg, cols):
     """Subspace pursuit: merge top-k correlations, fit, prune to k, re-fit."""
     def step(x, g, p, events):
         merged = np.union1d(np.flatnonzero(x), top_k_support(g, problem.k))
-        z = linalg.least_squares_on_support(problem.a, problem.y, merged)
+        z = _fit(cols, problem.y, merged, problem.n)
         pruned = top_k_support(z, problem.k)
-        return linalg.least_squares_on_support(problem.a, problem.y, pruned)
+        return _fit(cols, problem.y, pruned, problem.n)
 
     return step
 
@@ -296,4 +345,5 @@ def solve(problem: ProblemInstance, algorithm: str,
         algorithm = _FULL_GRADIENT_ALIASES[algorithm]
     cfg = cfg or SolverConfig()
     budget = problem.k if algorithm == "omp" else cfg.max_iterations
-    return _run(problem, budget, _STEPS[algorithm](problem, cfg))
+    cols = _Columns(problem.a)
+    return _run(problem, cols, budget, _STEPS[algorithm](problem, cfg, cols))

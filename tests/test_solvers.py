@@ -167,7 +167,8 @@ def test_niht_backtracks_until_mu_passes_omega():
     # first mu' = mu / (kappa (1 - c))^j that passes, with j >= 1
     problem = _planted(8, 16, 3, 6, seed=0)
     a, y, k = problem.a, problem.y, problem.k
-    step = solvers._iht(problem, SolverConfig(normalize_stepsize=True))
+    step = solvers._iht(problem, SolverConfig(normalize_stepsize=True),
+                        solvers._Columns(a))
     x = step(np.zeros(16), a.T @ y, 0, [])
     g = a.T @ (y - a @ x)
     support = np.flatnonzero(x)
@@ -231,6 +232,59 @@ def test_pgot_step_is_one_pgot_iteration():
             assert x.tobytes() == report.final_x.tobytes()
 
 
+def test_column_cache_returns_the_block_a_gather_from_a_returns():
+    # repeated, overlapping and reordered reads, and the empty read, give
+    # a[:, idx]'s values, dtype and F-ordered strides; each distinct column
+    # fills one row of the cache, however often it is read
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 12))
+    cols = solvers._Columns(a)
+    reads = [[4, 1, 9], [4, 1, 9], [1, 9, 4], [9, 2, 11, 4], [0],
+             [11, 2, 5, 3], [], [3, 0, 4]]
+    for read in reads:
+        idx = np.array(read, dtype=np.intp)
+        block, ref = cols(idx), a[:, idx]
+        assert block.dtype == ref.dtype and block.shape == ref.shape
+        assert block.strides == ref.strides and block.flags.f_contiguous
+        assert np.array_equal(block, ref)
+    assert cols.filled == len({j for read in reads for j in read}) == 8
+    y = rng.standard_normal(7)
+    assert cols(np.array([], dtype=np.intp)).shape == (7, 0)
+    assert solvers._residual(cols, y, np.zeros(12)).tobytes() == y.tobytes()
+
+
+def _column_cache_cases():
+    wide = ExperimentConfig(m=256, n=1024, k_grid=(20,), sigma=1e-3, seed=1,
+                            scaling="inv_sqrt_m")
+    for algo in ("iht", "omp", "sp"):
+        yield pytest.param(wide, 20, algo, None, id=f"256x1024-{algo}")
+    yield pytest.param(wide, 20, "iht", SolverConfig(normalize_stepsize=True),
+                       id="256x1024-niht")
+    for m, n, k in ((100, 200, 5), (30, 60, 3)):
+        narrow = ExperimentConfig(m=m, n=n, k_grid=(k,), sigma=0.01, seed=7)
+        for algo in ALGORITHM_IDS:
+            # ot's exhaustive subproblem on all n = 200 entries is too large
+            if algo not in ("iht", "omp", "sp") and (algo, n) != ("ot", 200):
+                yield pytest.param(narrow, k, algo, None, id=f"{m}x{n}-{algo}")
+
+
+@pytest.mark.parametrize("cfg, k, algo, solver_cfg", _column_cache_cases())
+def test_column_cache_keeps_every_solve_bit_for_bit(cfg, k, algo, solver_cfg,
+                                                    monkeypatch):
+    # a solve through the cache and one that gathers every block from A
+    # agree bit for bit, so a cache that served a stale column would show
+    for trial in range(2):
+        problem = make_trial_problem(cfg, k, 2 * k, algo, trial)
+        cached = solve(problem, algo, solver_cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_Columns", lambda a: lambda idx: a[:, idx])
+            gathered = solve(problem, algo, solver_cfg)
+        assert cached.final_x.tobytes() == gathered.final_x.tobytes()
+        assert (np.array([entry.objective for entry in cached.trace]).tobytes()
+                == np.array([entry.objective
+                             for entry in gathered.trace]).tobytes())
+
+
 def test_omp_desk_recovery():
     report = solve(_planted(100, 200, 5, 10, seed=3), "omp")
     assert report.termination == RECOVERY
@@ -238,7 +292,7 @@ def test_omp_desk_recovery():
 
 def _omp_iterates(problem, steps):
     """The first ``steps`` omp iterates, by the step of omp's own builder."""
-    step = solvers._omp(problem, SolverConfig())
+    step = solvers._omp(problem, SolverConfig(), solvers._Columns(problem.a))
     x = np.zeros(problem.n)
     iterates = []
     for p in range(steps):
