@@ -2,7 +2,10 @@
 
 Experiments mirror the standard compressed-sensing evaluation protocol:
 objective traces over iterations, average iteration counts to the recovery
-criterion, and success-rate curves over the sparsity grid.  All randomness
+criterion, and success-rate curves over the sparsity grid.  Each experiment
+function returns the rows of its CSV header (TRACE_HEADER, ITERATIONS_HEADER,
+SUCCESS_HEADER), ready for ``write_csv``; the iteration and success rows are
+views of one (recovered, iterations) record per trial.  All randomness
 derives from a single experiment seed so results are reproducible byte for
 byte, independent of worker parallelism.
 """
@@ -66,23 +69,6 @@ class ExperimentConfig:
         if self.trace_iterations < 1:
             raise ValueError(
                 f"trace_iterations={self.trace_iterations} must be positive")
-
-
-@dataclass(frozen=True)
-class CellResult:
-    m: int
-    n: int
-    k: int
-    q: int
-    algorithm: str
-    sigma: float
-    success_count: int
-    trials: int
-    mean_iterations: float
-
-    @property
-    def rate(self) -> float:
-        return self.success_count / self.trials
 
 
 def gen_gaussian_matrix(m: int, n: int, seed, scaling: str = "inv_sqrt_m") -> np.ndarray:
@@ -188,44 +174,49 @@ def objective_trace_experiment(cfg: ExperimentConfig) -> list[tuple]:
     return [row for chunk in _map(run, qs, cfg.threads) for row in chunk]
 
 
-def _run_cell(cfg: ExperimentConfig, k: int, q: int, algo: str) -> CellResult:
-    solver_cfg = SolverConfig()
-    successes = 0
-    iteration_sum = 0.0
+def _run_cell(cfg: ExperimentConfig, k: int, q: int, algo: str) -> list[tuple]:
+    """(recovered, iterations) for each trial of one cell, in trial order."""
+    records = []
     for trial in range(cfg.trials):
-        problem = make_trial_problem(cfg, k, q, algo, trial)
-        report = solve(problem, algo, solver_cfg)
+        report = solve(make_trial_problem(cfg, k, q, algo, trial), algo)
         # with a truth, _run stops at RECOVERY iff the iterate it stops on
         # meets the recovery criterion
-        ok = report.termination == RECOVERY
-        successes += int(ok)
-        # failed trials are charged the full iteration budget
-        iteration_sum += report.iterations if ok else solver_cfg.max_iterations
-    return CellResult(cfg.m, cfg.n, k, q, algo, cfg.sigma, successes,
-                      cfg.trials, iteration_sum / cfg.trials)
+        records.append((report.termination == RECOVERY, report.iterations))
+    return records
 
 
-def _run_grid(cfg: ExperimentConfig) -> list[CellResult]:
+def _run_grid(cfg: ExperimentConfig) -> list[tuple]:
+    """((k, q, algo), records) for each distinct cell, in increasing order."""
     # one cell per distinct (k, q, algo), however often the lists repeat it
     cells = sorted({(k, resolve_q(token, k, cfg.n), algo) for k in cfg.k_grid
                     for token in cfg.q_list for algo in cfg.algorithms})
-    return _map(lambda c: _run_cell(cfg, *c), cells, cfg.threads)
+    return list(zip(cells, _map(lambda c: _run_cell(cfg, *c), cells,
+                                cfg.threads)))
 
 
-def iteration_count_experiment(cfg: ExperimentConfig) -> list[CellResult]:
-    """Mean iterations to the recovery criterion over the sparsity grid.
+def iteration_count_experiment(cfg: ExperimentConfig) -> list[tuple]:
+    """ITERATIONS_HEADER rows: mean iterations to the recovery criterion.
 
     Noiseless protocol; trials that never meet the criterion count as the
-    full iteration budget.
+    default iteration budget, SolverConfig().max_iterations.
     """
     if cfg.sigma != 0:
         raise ValueError("iteration-count experiment is noiseless (sigma = 0)")
-    return _run_grid(cfg)
+    budget = SolverConfig().max_iterations
+    return [(cfg.m, cfg.n, k, q, algo,
+             sum(its if ok else budget for ok, its in records) / cfg.trials,
+             cfg.trials)
+            for (k, q, algo), records in _run_grid(cfg)]
 
 
-def success_rate_experiment(cfg: ExperimentConfig) -> list[CellResult]:
-    """Empirical recovery probability per (k, algorithm) cell."""
-    return _run_grid(cfg)
+def success_rate_experiment(cfg: ExperimentConfig) -> list[tuple]:
+    """SUCCESS_HEADER rows: the empirical recovery probability per cell."""
+    rows = []
+    for (k, q, algo), records in _run_grid(cfg):
+        success = sum(ok for ok, _ in records)
+        rows.append((cfg.m, cfg.n, k, q, algo, cfg.sigma, success, cfg.trials,
+                     success / cfg.trials))
+    return rows
 
 
 def _fmt(x) -> str:
@@ -248,13 +239,3 @@ def write_csv(rows, path, header: str) -> None:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
-
-
-def iteration_rows(results) -> list[tuple]:
-    return [(r.m, r.n, r.k, r.q, r.algorithm, r.mean_iterations, r.trials)
-            for r in results]
-
-
-def success_rows(results) -> list[tuple]:
-    return [(r.m, r.n, r.k, r.q, r.algorithm, r.sigma, r.success_count,
-             r.trials, r.rate) for r in results]

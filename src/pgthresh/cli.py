@@ -153,17 +153,14 @@ def cmd_bench(args) -> int:
         open(args.csv, "a", encoding="utf-8").close()
         if not existed:
             os.remove(args.csv)
-        if args.experiment == "trace":
-            rows = bench.objective_trace_experiment(cfg)
-            bench.write_csv(rows, args.csv, bench.TRACE_HEADER)
-        elif args.experiment == "iters":
-            results = bench.iteration_count_experiment(cfg)
-            bench.write_csv(bench.iteration_rows(results), args.csv,
-                            bench.ITERATIONS_HEADER)
-        else:
-            results = bench.success_rate_experiment(cfg)
-            bench.write_csv(bench.success_rows(results), args.csv,
-                            bench.SUCCESS_HEADER)
+        # built per call, so a wrapper set on a bench attribute (perfbench's
+        # tracer) is the function that runs
+        run, header = {
+            "trace": (bench.objective_trace_experiment, bench.TRACE_HEADER),
+            "iters": (bench.iteration_count_experiment, bench.ITERATIONS_HEADER),
+            "success": (bench.success_rate_experiment, bench.SUCCESS_HEADER),
+        }[args.experiment]
+        bench.write_csv(run(cfg), args.csv, header)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(f"wrote {args.csv}")

@@ -159,9 +159,9 @@ def _success_cfg(sigma, k_grid, algorithms):
 
 @pytest.fixture(scope="module")
 def noiseless_rates():
-    results = success_rate_experiment(
+    rows = success_rate_experiment(
         _success_cfg(0.0, K_GRID, ("pgrotp", "sp", "omp")))
-    return {(r.algorithm, r.k): r.rate for r in results}
+    return {(algo, k): rate for _, _, k, _, algo, _, _, _, rate in rows}
 
 
 def test_acceptance_07_desk_scale_recovery(noiseless_rates):
@@ -173,8 +173,8 @@ def test_acceptance_07_desk_scale_recovery(noiseless_rates):
 
 
 def test_acceptance_08_noise_robustness(noiseless_rates):
-    results = success_rate_experiment(_success_cfg(0.001, (10,), ("pgrotp",)))
-    noisy_rate = results[0].rate
+    (row,) = success_rate_experiment(_success_cfg(0.001, (10,), ("pgrotp",)))
+    noisy_rate = row[-1]  # the rate column
     ok = abs(noisy_rate - noiseless_rates[("pgrotp", 10)]) <= 0.10
     _report(8, "noisy success rate at k=10 within 10 points of noiseless", ok)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pgthresh import (RicTriple, bench, brute_force_ric, ceil_ratio,
-                      contraction_constants, pgot_root_bound)
-from pgthresh.bench import (CellResult, ExperimentConfig, gen_gaussian_matrix,
+from pgthresh import (RicTriple, SolverConfig, bench, brute_force_ric,
+                      ceil_ratio, check_recovery, contraction_constants,
+                      pgot_root_bound, solve)
+from pgthresh.bench import (ExperimentConfig, gen_gaussian_matrix,
                             gen_sparse_vector, iteration_count_experiment,
                             objective_trace_experiment, resolve_q,
                             success_rate_experiment, write_csv)
@@ -145,12 +146,41 @@ def _small_cfg(**kw):
 
 
 def test_success_experiment_bookkeeping():
-    results = success_rate_experiment(_small_cfg())
-    assert len(results) == 4  # 2 k-values x 2 algorithms
-    for r in results:
-        assert 0 <= r.success_count <= r.trials == 3
-        assert 0.0 <= r.rate <= 1.0
-        assert r.mean_iterations <= 50
+    rows = success_rate_experiment(_small_cfg())
+    # one row per (k, q, algo) cell, in increasing order
+    assert [row[2:5] for row in rows] == [(2, 4, "omp"), (2, 4, "pgrotp"),
+                                          (4, 8, "omp"), (4, 8, "pgrotp")]
+    for row in rows:
+        assert len(row) == len(bench.SUCCESS_HEADER.split(","))
+        m, n, _, _, _, sigma, success, trials, rate = row
+        assert (m, n, sigma, trials) == (20, 40, 0.0, 3)
+        assert 0 <= success <= trials and 0.0 <= rate <= 1.0
+
+
+def test_experiment_rows_are_views_of_independent_solves():
+    # some trials fail here (iht's fixed step, pgrotp at k = 8), so the
+    # iters rows charge the budget
+    cfg = _small_cfg(k_grid=(2, 8), algorithms=("sp", "iht", "pgrotp"))
+    budget = SolverConfig().max_iterations
+    success_rows, iters_rows = [], []
+    for k in cfg.k_grid:
+        for algo in sorted(cfg.algorithms):
+            oks, charged = [], []
+            for trial in range(cfg.trials):
+                problem = bench.make_trial_problem(cfg, k, 2 * k, algo, trial)
+                report = solve(problem, algo)
+                ok = check_recovery(report.final_x, problem.truth)
+                oks.append(ok)
+                charged.append(report.iterations if ok else budget)
+            success_rows.append((20, 40, k, 2 * k, algo, 0.0, sum(oks), 3,
+                                 sum(oks) / 3))
+            iters_rows.append((20, 40, k, 2 * k, algo, sum(charged) / 3, 3))
+    assert 0 < sum(row[6] for row in success_rows) < 6 * 3
+    rows = success_rate_experiment(cfg)
+    assert rows == success_rows
+    for *_, success, trials, rate in rows:
+        assert rate == success / trials
+    assert iteration_count_experiment(cfg) == iters_rows
 
 
 def test_success_experiment_deterministic_across_threads():
@@ -167,8 +197,9 @@ def test_iteration_experiment_rejects_noise():
 def test_iteration_experiment_low_sparsity_fast():
     cfg = ExperimentConfig(m=100, n=200, k_grid=(1,), q_list=("2k",),
                            algorithms=("pgrotp",), trials=5, seed=3)
-    (result,) = iteration_count_experiment(cfg)
-    assert result.mean_iterations <= 5
+    ((m, n, k, q, algo, mean_iters, trials),) = iteration_count_experiment(cfg)
+    assert (m, n, k, q, algo, trials) == (100, 200, 1, 2, "pgrotp", 5)
+    assert mean_iters <= 5
 
 
 def test_trace_experiment_identity_like_instance():
@@ -191,11 +222,6 @@ def test_trace_experiment_rejects_what_it_would_ignore():
         cfg = _small_cfg(k_grid=k_grid, algorithms=algos)
         with pytest.raises(ValueError, match="pgrotp on one k"):
             objective_trace_experiment(cfg)
-
-
-def test_cell_result_rate():
-    r = CellResult(1, 2, 3, 4, "sp", 0.0, 3, 4, 1.0)
-    assert r.rate == 0.75
 
 
 def test_trial_problems_reproducible_and_cell_independent():
